@@ -54,8 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="lift the exact-solver size gate")
     pa.add_argument("--oracle", action="store_true",
                     help="cross-check against brute force (small graphs)")
-    pa.add_argument("--seed", type=int, default=None)
-    pa.add_argument("--cap", type=int, default=DEFAULT_OMEGA_CAP)
 
     pb = sub.add_parser("batch", help="CSV stream of reports for graph6 lines")
     pb.add_argument("path", help="file of graph6 records, one per line")
@@ -65,13 +63,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="polynomial fields only (skip alpha/core/chain)")
     pb.add_argument("--force", action="store_true")
     pb.add_argument("--oracle", action="store_true")
-    pb.add_argument("--seed", type=int, default=None)
-    pb.add_argument("--cap", type=int, default=DEFAULT_OMEGA_CAP)
 
     pg = sub.add_parser("gen", help="emit a family member as graph6")
     pg.add_argument("family", choices=FAMILIES)
     pg.add_argument("params", nargs="*", type=int)
-    pg.add_argument("--seed", type=int, default=None)
 
     pv = sub.add_parser("verify", help="run the self-check suites")
     pv.add_argument("--scope", choices=("quick", "full"), default="quick")
@@ -216,8 +211,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _env_seed()
     handlers = {
         "analyze": _cmd_analyze,
         "batch": _cmd_batch,

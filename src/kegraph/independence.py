@@ -115,35 +115,11 @@ def _alpha_value(adj: tuple[int, ...], mask: int, stop_at: int | None = None) ->
     return best
 
 
-def _lex_min_witness(adj: tuple[int, ...], mask: int, target: int) -> int:
-    """First independent set of size *target* in lexicographic DFS order."""
-    found = 0
-
-    def dfs(m: int, chosen: int, size: int) -> bool:
-        nonlocal found
-        if size == target:
-            found = chosen
-            return True
-        if size + m.bit_count() < target:
-            return False
-        if size + _clique_cover_bound(adj, m) < target:
-            return False
-        low = m & -m
-        v = low.bit_length() - 1
-        if dfs(m & ~(adj[v] | low), chosen | low, size + 1):
-            return True
-        return dfs(m ^ low, chosen, size)
-
-    dfs(mask, 0, 0)
-    return found
-
-
 def alpha(g: Graph, limit: int | None = DEFAULT_EXACT_LIMIT) -> AlphaResult:
-    """Independence number with its lexicographically smallest witness."""
-    _gate(g.n, limit)
-    value = _alpha_value(g.adj, g.full_mask)
-    witness = _lex_min_witness(g.adj, g.full_mask, value)
-    return AlphaResult(value, witness)
+    """Independence number with its lexicographically smallest witness: the
+    first set of the Omega stream."""
+    stream = enumerate_maximum_independent_sets(g, 1, limit)
+    return AlphaResult(stream.alpha, next(iter(stream)))
 
 
 class OmegaStream:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .critical import critical_difference, max_critical_independent_set
+from .critical import max_critical_independent_set
 from .errors import ContractViolationError, NotKEError
 from .graph import (
     Graph,
@@ -119,6 +119,14 @@ def certificate_from_parts(
     )
 
 
+def _recognized(g: Graph) -> tuple[int, int, KECertificate]:
+    """d, mu and the KE certificate, from one critical witness and one
+    maximum matching."""
+    witness = max_critical_independent_set(g)
+    mu = maximum_matching(g).size
+    return witness.value, mu, certificate_from_parts(g, witness, mu)
+
+
 def ke_decomposition(g: Graph) -> tuple[int, Graph]:
     """Split a KE graph into (S, H): S a maximum independent set, H = G - S,
     with every vertex of H matched into S by the certificate matching."""
@@ -153,27 +161,33 @@ class EqualityChainReport:
         return (self.d, self.core_surplus, self.alpha_minus_mu, self.deficiency)
 
 
-def equality_chain_report(
-    g: Graph, limit: int | None = DEFAULT_EXACT_LIMIT
+def chain_from_parts(
+    g: Graph, d: int, core_set: int, alpha_value: int, mu: int, is_ke: bool
 ) -> EqualityChainReport:
-    """Evaluate the equality chain; a KE graph failing it is an internal defect."""
-    d = critical_difference(g)
-    c = core(g, limit)
-    nc = neighborhood(g, c)
-    a = alpha(g, limit).value
-    mu = maximum_matching(g).size
+    """Build the chain from already-computed parts; a KE graph failing it is
+    an internal defect."""
     report = EqualityChainReport(
         d=d,
-        core_surplus=c.bit_count() - nc.bit_count(),
-        alpha_minus_mu=a - mu,
+        core_surplus=core_set.bit_count() - neighborhood(g, core_set).bit_count(),
+        alpha_minus_mu=alpha_value - mu,
         deficiency=g.n - 2 * mu,
-        is_ke=recognize_ke(g).is_ke,
+        is_ke=is_ke,
     )
     if report.is_ke and not report.chain_holds:
         raise ContractViolationError(
             f"equality chain broken on a KE graph: {report.values()}"
         )
     return report
+
+
+def equality_chain_report(
+    g: Graph, limit: int | None = DEFAULT_EXACT_LIMIT
+) -> EqualityChainReport:
+    """Evaluate the equality chain; a KE graph failing it is an internal defect."""
+    c = core(g, limit)
+    a = alpha(g, limit).value
+    d, mu, cert = _recognized(g)
+    return chain_from_parts(g, d, c, a, mu, cert.is_ke)
 
 
 @dataclass(frozen=True)
@@ -201,7 +215,7 @@ def characterization_check(
     Requires untruncated enumeration (raises TruncatedOmegaError otherwise).
     """
     omega = collect_omega(g, cap, limit)
-    d = critical_difference(g)
+    d, _mu, cert = _recognized(g)
     exists = False
     witness = None
     all_critical = True
@@ -214,7 +228,7 @@ def characterization_check(
             if witness is None:
                 witness = s
     return CharacterizationRecord(
-        is_ke=recognize_ke(g).is_ke,
+        is_ke=cert.is_ke,
         exists_critical_mis=exists,
         all_mis_critical=all_critical,
         witness=witness,
@@ -251,29 +265,27 @@ def structure_checks_ke(
     """Verify, on a KE graph: (i) N(core) is the intersection of the
     complements of all maximum independent sets, (ii) alpha + |that set| =
     mu + |core|, (iii) G - N[core] has a perfect matching and is itself KE."""
-    cert = recognize_ke(g)
+    _d, mu, cert = _recognized(g)
     if not cert.is_ke:
         w = cert.non_ke_witness
         raise NotKEError(f"alpha_c={w.alpha_c} < n - mu = {w.n - w.mu}; not KE")
     omega = collect_omega(g, cap, limit)
     union = 0
+    c = g.full_mask  # core: the intersection of all maximum independent sets
     for s in omega:
         union |= s
+        c &= s
     complement_intersection = g.full_mask & ~union
-    c = core(g, limit)
     nc = neighborhood(g, c)
-    a = alpha(g, limit).value
-    mu = maximum_matching(g).size
+    a = omega[0].bit_count()
     residual = delete_closed_neighborhood(g, c)
-    residual_cert = recognize_ke(residual)
+    _d, residual_mu, residual_cert = _recognized(residual)
     return StructureChecks(
         ncore_equals_complement_intersection=(nc == complement_intersection),
         counting_identity_holds=(
             a + complement_intersection.bit_count() == mu + c.bit_count()
         ),
-        residual_perfectly_matched=(
-            residual.n == 2 * maximum_matching(residual).size
-        ),
+        residual_perfectly_matched=(residual.n == 2 * residual_mu),
         residual_is_ke=residual_cert.is_ke,
         core=c,
         ncore=nc,

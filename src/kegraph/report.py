@@ -44,7 +44,6 @@ class AnalysisReport:
     chain: dict[str, Any] | None = None
     certificates: dict[str, Any] = field(default_factory=dict)
     gated: bool = False
-    truncated_omega: bool = False
     oracle_checked: bool = False
     timing_ms: float = 0.0
 
@@ -64,7 +63,6 @@ class AnalysisReport:
             "chain": self.chain,
             "certificates": self.certificates,
             "gated": self.gated,
-            "truncated_omega": self.truncated_omega,
             "oracle_checked": self.oracle_checked,
             "timing_ms": self.timing_ms,
         }
@@ -89,7 +87,6 @@ class AnalysisReport:
             chain=d["chain"],
             certificates=d["certificates"],
             gated=d["gated"],
-            truncated_omega=d["truncated_omega"],
             oracle_checked=d["oracle_checked"],
             timing_ms=d["timing_ms"],
         )
@@ -172,21 +169,10 @@ def analyze_graph(
         limit = None if force else exact_limit
         a = alpha(g, limit)
         c = core(g, limit)
-        nc = neighborhood(g, c)
         report.alpha = a.value
         report.core = g.labels_of(c)
-        report.n_core = g.labels_of(nc)
-        chain = koenig.EqualityChainReport(
-            d=d,
-            core_surplus=c.bit_count() - nc.bit_count(),
-            alpha_minus_mu=a.value - mu,
-            deficiency=g.n - 2 * mu,
-            is_ke=cert.is_ke,
-        )
-        if chain.is_ke and not chain.chain_holds:
-            raise ContractViolationError(
-                f"equality chain broken on a KE graph: {chain.values()}"
-            )
+        report.n_core = g.labels_of(neighborhood(g, c))
+        chain = koenig.chain_from_parts(g, d, c, a.value, mu, cert.is_ke)
         report.chain = {
             "d": chain.d,
             "core_surplus": chain.core_surplus,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Callable, Iterator
 
@@ -156,14 +157,11 @@ def _ke_chain_broken(g: Graph) -> bool:
         return True
 
 
-_structure_cap = 200000
-
-
-def _ke_structure_broken(g: Graph) -> bool:
+def _ke_structure_broken(g: Graph, cap: int) -> bool:
     if not koenig.recognize_ke(g).is_ke:
         return False
     try:
-        return not koenig.structure_checks_ke(g, cap=_structure_cap).all_hold
+        return not koenig.structure_checks_ke(g, cap=cap).all_hold
     except TruncatedOmegaError:
         return False
     except KegraphError:
@@ -441,9 +439,7 @@ def _check_recognition_consistency(rng: random.Random, _cap: int) -> Iterator[Vi
             return
 
 
-def _check_ke_guarantees(rng: random.Random, _cap: int) -> Iterator[Violation]:
-    global _structure_cap
-    _structure_cap = _cap
+def _check_ke_guarantees(rng: random.Random, cap: int) -> Iterator[Violation]:
     pools: list[Graph] = [fixture(name) for name in ("H1", "H2", "G1")]
     for _ in range(300):
         g, _sides = random_bipartite_graph(rng, rng.randint(0, 24), rng.random())
@@ -456,7 +452,7 @@ def _check_ke_guarantees(rng: random.Random, _cap: int) -> Iterator[Violation]:
             (_ke_perfect_matching_link_broken, "d=0 vs perfect matching"),
             (_ke_certificate_invalid, "certificate"),
             (_bipartite_not_ke, "bipartite verdict"),
-            (_ke_structure_broken, "structure checks"),
+            (partial(_ke_structure_broken, cap=cap), "structure checks"),
         ):
             if pred(g):
                 yield Violation("ke_guarantees", label, g, pred)

@@ -43,6 +43,13 @@ def test_alpha_gate():
     assert alpha(g, limit=65).value == 65
 
 
+def test_alpha_long_path_witness_without_recursion():
+    # Deep enough to exhaust Python's recursion limit in a recursive search.
+    value, witness = alpha(generate("path", 2100), limit=None)
+    assert value == 1050
+    assert witness == vset(range(0, 2100, 2))
+
+
 def test_alpha_against_oracle_random():
     rng = random.Random(23)
     for _ in range(150):

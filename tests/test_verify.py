@@ -1,11 +1,15 @@
 import random
 
 from kegraph import Graph, fixture, generate
-from kegraph.verify import minimize, run_suite
+from kegraph.verify import DEFAULT_SEED, minimize, run_suite
 
 
 def test_quick_suite_clean():
     assert run_suite("quick", seed=20090001) is None
+
+
+def test_full_suite_clean():
+    assert run_suite("full", seed=DEFAULT_SEED) is None
 
 
 def test_minimize_shrinks_to_smallest_witness():
