@@ -99,7 +99,7 @@ def _read_graph(args: argparse.Namespace) -> tuple[Graph, str]:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         g, name = _read_graph(args)
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = analyze_graph(
@@ -143,7 +143,9 @@ def _batch_one(item: tuple[int, str]) -> tuple[int, str, str, bool | None, bool 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     try:
-        with open(args.path, encoding="utf-8") as fh:
+        # Undecodable bytes become lone surrogates, which parse_graph6
+        # rejects, so such a line ends in a line error like any other.
+        with open(args.path, encoding="utf-8", errors="surrogateescape") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -127,12 +127,12 @@ def max_critical_independent_set(g: Graph) -> CriticalWitness:
     return _checked_witness(g, chosen, d_whole)
 
 
-def _checked_witness(g: Graph, chosen: int, d: int | None = None) -> CriticalWitness:
+def _checked_witness(g: Graph, chosen: int, d: int) -> CriticalWitness:
     if not is_independent(g, chosen):
         raise ConstructionFailedError("constructed set is not independent")
     nb = neighborhood(g, chosen)
     value = chosen.bit_count() - nb.bit_count()
-    if value != (critical_difference(g) if d is None else d):
+    if value != d:
         raise ConstructionFailedError(
             "constructed set does not attain the critical difference"
         )

@@ -35,6 +35,8 @@ def parse_graph6(data: bytes | str, max_n: int = DEFAULT_MAX_N) -> Graph:
     A single trailing newline is tolerated; any other surplus byte raises
     TrailingDataError.
     """
+    if isinstance(data, str) and not data.isascii():
+        raise InvalidCharError("non-ASCII character in graph6 record")
     raw = data.encode("ascii") if isinstance(data, str) else bytes(data)
     if raw.startswith(GRAPH6_HEADER):
         raw = raw[len(GRAPH6_HEADER):]
@@ -150,8 +152,8 @@ def parse_edge_list(text: str) -> Graph:
                     f"line {lineno}: vertices: header must precede edges and be unique"
                 )
             fields = stripped[len("vertices:"):].split()
-            if len(fields) == 1 and fields[0].isdigit():
-                declared_count = int(fields[0])
+            if len(fields) == 1 and _is_index(fields[0]):
+                declared_count = _index_value(fields[0])
             elif fields:
                 if len(set(fields)) != len(fields):
                     raise MalformedError(f"line {lineno}: repeated vertex name")
@@ -179,17 +181,19 @@ def parse_edge_list(text: str) -> Graph:
             return index[tok]
 
     elif declared_count is not None or all(
-        t.isdigit() for uv in pairs for t in uv
+        _is_index(t) for uv in pairs for t in uv
     ):
         n = declared_count if declared_count is not None else (
-            max((int(t) for uv in pairs for t in uv), default=-1) + 1
+            max((_index_value(t) for uv in pairs for t in uv), default=-1) + 1
         )
+        if n > DEFAULT_MAX_N:
+            raise NOverflowError(f"edge-list vertex count {n} exceeds {DEFAULT_MAX_N}")
         labels = None
 
         def resolve(tok: str) -> int:
-            if not tok.isdigit():
+            if not _is_index(tok):
                 raise MalformedError(f"vertex {tok!r} is not an index")
-            v = int(tok)
+            v = _index_value(tok)
             if v >= n:
                 raise UnknownVertexError(f"vertex index {v} >= declared n={n}")
             return v
@@ -218,3 +222,17 @@ def parse_edge_list(text: str) -> Graph:
             f"collapsed {dupes} duplicate edge(s)", DuplicateEdgeWarning, stacklevel=2
         )
     return Graph.from_adjacency(adj, labels)
+
+
+def _is_index(tok: str) -> bool:
+    """Vertex indices and counts are ASCII digit strings only."""
+    return tok.isascii() and tok.isdigit()
+
+
+def _index_value(tok: str) -> int:
+    """An index token's value, capped like a graph6 vertex count; int() sees
+    at most one digit more than the cap has, never a huge digit string."""
+    value = int(tok.lstrip("0")[:len(str(DEFAULT_MAX_N)) + 1] or "0")
+    if value > DEFAULT_MAX_N:
+        raise NOverflowError(f"edge-list number {tok[:20]} exceeds {DEFAULT_MAX_N}")
+    return value

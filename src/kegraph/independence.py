@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .errors import NotIndependentError, TooLargeError, TruncatedOmegaError
-from .graph import Graph, is_independent, neighborhood
+from .graph import Graph, bits, is_independent, neighborhood
 
 __all__ = [
     "DEFAULT_EXACT_LIMIT",
@@ -192,14 +192,14 @@ def collect_omega(
 def core(g: Graph, limit: int | None = DEFAULT_EXACT_LIMIT) -> int:
     """Intersection of all maximum independent sets.
 
-    Computed as {v : alpha(g - v) < alpha(g)} with one solver call per vertex,
-    so it works even when the number of maximum independent sets is huge.
+    Computed as {v : alpha(g - v) < alpha(g)}, probing only the members of one
+    maximum independent set (the core lies inside every one of them), so it
+    works even when the number of maximum independent sets is huge.
     """
-    _gate(g.n, limit)
+    value, witness = alpha(g, limit)
     full = g.full_mask
-    value = _alpha_value(g.adj, full)
     result = 0
-    for v in range(g.n):
+    for v in bits(witness):
         if _alpha_value(g.adj, full & ~(1 << v), stop_at=value) < value:
             result |= 1 << v
     return result

@@ -21,6 +21,7 @@ __all__ = [
     "brute_alpha_c",
     "brute_core",
     "brute_maximum_independent_sets",
+    "disagreements",
 ]
 
 ORACLE_VERTEX_LIMIT = 20
@@ -151,3 +152,33 @@ def brute_maximum_independent_sets(g: Graph) -> list[int]:
     ind = _independence_table(g)
     a = brute_alpha(g)
     return [s for s in range(1 << g.n) if ind[s] and s.bit_count() == a]
+
+
+def disagreements(
+    g: Graph,
+    *,
+    mu: int | None = None,
+    d: int | None = None,
+    alpha_c: int | None = None,
+    alpha: int | None = None,
+    core: int | None = None,
+) -> list[str]:
+    """Names of the given main-path values (None: unchecked; core: a mask) that
+    brute force contradicts, within the gates m <= ORACLE_EDGE_LIMIT for mu and
+    n <= ORACLE_VERTEX_LIMIT for the rest; d is checked in both modes."""
+    problems: list[str] = []
+    if mu is not None and g.m <= ORACLE_EDGE_LIMIT and brute_mu(g) != mu:
+        problems.append("mu")
+    if g.n > ORACLE_VERTEX_LIMIT:
+        return problems
+    if d is not None:
+        for mode in ("independent_only", "all_subsets"):
+            if brute_critical_difference(g, mode) != d:
+                problems.append(f"d[{mode}]")
+    if alpha_c is not None and brute_alpha_c(g)[0] != alpha_c:
+        problems.append("alpha_c")
+    if alpha is not None and brute_alpha(g) != alpha:
+        problems.append("alpha")
+    if core is not None and brute_core(g) != core:
+        problems.append("core")
+    return problems

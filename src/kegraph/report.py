@@ -15,7 +15,7 @@ from typing import Any
 
 from . import koenig, oracle
 from .critical import max_critical_independent_set
-from .errors import ContractViolationError, TooLargeError
+from .errors import ContractViolationError
 from .graph import Graph, neighborhood
 from .independence import DEFAULT_EXACT_LIMIT, alpha, core
 from .matching import maximum_matching
@@ -165,6 +165,7 @@ def analyze_graph(
         }
 
     exact_ok = not poly_only and (force or exact_limit is None or g.n <= exact_limit)
+    c = None
     if exact_ok:
         limit = None if force else exact_limit
         a = alpha(g, limit)
@@ -189,7 +190,7 @@ def analyze_graph(
         report.gated = True
 
     if with_oracle:
-        _cross_check(g, report)
+        _cross_check(g, report, c)
         report.oracle_checked = True
 
     report.timing_ms = round((time.perf_counter() - t0) * 1000.0, 3)
@@ -200,24 +201,10 @@ def _edge_labels(g: Graph, edges: tuple[tuple[int, int], ...]) -> list[list[str]
     return [[g.label_of(u), g.label_of(v)] for u, v in edges]
 
 
-def _cross_check(g: Graph, report: AnalysisReport) -> None:
-    problems: list[str] = []
-    try:
-        if oracle.brute_mu(g) != report.mu:
-            problems.append("mu")
-    except TooLargeError:
-        pass
-    if g.n <= oracle.ORACLE_VERTEX_LIMIT:
-        for mode in ("independent_only", "all_subsets"):
-            if oracle.brute_critical_difference(g, mode) != report.d:
-                problems.append(f"d[{mode}]")
-        if oracle.brute_alpha_c(g)[0] != report.alpha_c:
-            problems.append("alpha_c")
-        if report.alpha is not None and oracle.brute_alpha(g) != report.alpha:
-            problems.append("alpha")
-        if report.core is not None:
-            if g.labels_of(oracle.brute_core(g)) != report.core:
-                problems.append("core")
+def _cross_check(g: Graph, report: AnalysisReport, core_set: int | None) -> None:
+    problems = oracle.disagreements(
+        g, mu=report.mu, d=report.d, alpha_c=report.alpha_c, alpha=report.alpha, core=core_set
+    )
     if problems:
         raise ContractViolationError(
             f"oracle disagrees with main path on: {', '.join(problems)}"

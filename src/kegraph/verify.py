@@ -3,17 +3,19 @@
 ``quick`` replays the fixture corpus facts; ``full`` additionally runs the
 seeded random suites that cross-check every main-path quantity against the
 brute-force oracle and exercise the structural guarantees on Konig-Egervary
-inputs. The runner stops at the first violation and reports a minimized
-reproducing graph as graph6.
+inputs. Every check is one row of a table: a seeded pool of samples and the
+labelled predicates each sample must not violate. The runner stops at the
+first violation and reports a minimized reproducing graph as graph6.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
-from typing import Callable, Iterator
+from itertools import chain, combinations
+from typing import Callable, Iterator, NamedTuple
 
 from . import koenig, oracle
 from .critical import (
@@ -23,7 +25,7 @@ from .critical import (
     max_critical_independent_set,
 )
 from .errors import KegraphError, TruncatedOmegaError
-from .fixtures import fixture, generate, random_bipartite_graph, random_graph
+from .fixtures import FIXTURE_NAMES, fixture, generate, random_bipartite_graph, random_graph
 from .formats import emit_graph6, parse_graph6
 from .graph import (
     Graph,
@@ -42,7 +44,7 @@ from .independence import (
     is_local_max_independent_set,
 )
 from .matching import (
-    Matching,
+    HallViolation,
     deficiency,
     has_perfect_matching,
     maximum_bipartite_matching,
@@ -50,7 +52,10 @@ from .matching import (
     saturating_matching,
 )
 
-__all__ = ["Violation", "run_suite", "minimize", "CHECKS", "DEFAULT_SEED"]
+__all__ = [
+    "Violation", "Check", "Probe", "run_suite", "run_check", "minimize",
+    "CHECKS", "DEFAULT_SEED",
+]
 
 DEFAULT_SEED = 20090001
 
@@ -91,7 +96,41 @@ def minimize(g: Graph, predicate: Predicate) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Reusable violation predicates (each: True means "this graph violates").
+# Violation predicates: each takes a sample's graph (and the sample's extra
+# values, if its pool draws any) and returns True when the sample violates.
+
+
+FIXTURE_FACTS = {
+    # name: (n, m, alpha, mu, d, alpha_c, is_ke, core labels, N(core) labels)
+    "H1": (4, 4, 2, 2, 0, 2, True, {"1"}, {"2"}),
+    "H2": (7, 7, 4, 3, 1, 4, True, None, None),
+    "H3": (5, 5, 2, 2, 0, 1, False, None, None),
+    # G1: the source's own numbers give alpha + mu = n, so KE is derived.
+    "G1": (9, 9, 6, 3, 3, 6, True, {"a", "b", "d", "f", "g"}, {"c", "e"}),
+    "G2": (9, 18, 4, 3, 2, 3, False, {"x", "y", "z"}, {"v"}),
+    "GF10": (8, 8, 4, 3, 1, 2, False, {"a", "h"}, {"b"}),
+}
+
+
+def _fixture_facts_wrong(g: Graph, facts: tuple) -> bool:
+    c = core(g)
+    got = (
+        g.n, g.m, alpha(g).value, maximum_matching(g).size, critical_difference(g),
+        max_critical_independent_set(g).set.bit_count(), koenig.recognize_ke(g).is_ke,
+        set(g.labels_of(c)), set(g.labels_of(neighborhood(g, c))),
+    )
+    return any(want is not None and want != have for want, have in zip(facts, got))
+
+
+def _kn_minus_e_broken(g: Graph, half: int) -> bool:
+    """K_2n minus an edge: alpha - mu = 2 - n, core surplus 4 - 2n, d = 0, not KE."""
+    c = core(g)
+    return not (
+        alpha(g).value - maximum_matching(g).size == 2 - half
+        and c.bit_count() - neighborhood(g, c).bit_count() == 4 - 2 * half
+        and critical_difference(g) == 0
+        and not koenig.recognize_ke(g).is_ke
+    )
 
 
 def _roundtrip_broken(g: Graph) -> bool:
@@ -99,36 +138,48 @@ def _roundtrip_broken(g: Graph) -> bool:
 
 
 def _mu_oracle_broken(g: Graph) -> bool:
-    if g.m > oracle.ORACLE_EDGE_LIMIT:
-        return False
-    return maximum_matching(g).size != oracle.brute_mu(g)
+    return bool(oracle.disagreements(g, mu=maximum_matching(g).size))
 
 
 def _alpha_oracle_broken(g: Graph) -> bool:
-    if g.n > oracle.ORACLE_VERTEX_LIMIT:
-        return False
-    return alpha(g).value != oracle.brute_alpha(g)
+    return bool(oracle.disagreements(g, alpha=alpha(g).value))
 
 
 def _d_oracle_broken(g: Graph) -> bool:
-    if g.n > oracle.ORACLE_VERTEX_LIMIT:
-        return False
-    d = critical_difference(g)
-    return d != oracle.brute_critical_difference(
-        g, "independent_only"
-    ) or d != oracle.brute_critical_difference(g, "all_subsets")
+    return bool(oracle.disagreements(g, d=critical_difference(g)))
 
 
 def _alpha_c_oracle_broken(g: Graph) -> bool:
-    if g.n > oracle.ORACLE_VERTEX_LIMIT:
-        return False
-    return max_critical_independent_set(g).set.bit_count() != oracle.brute_alpha_c(g)[0]
+    return bool(
+        oracle.disagreements(g, alpha_c=max_critical_independent_set(g).set.bit_count())
+    )
 
 
 def _core_oracle_broken(g: Graph) -> bool:
-    if g.n > oracle.ORACLE_VERTEX_LIMIT:
+    return bool(oracle.disagreements(g, core=core(g)))
+
+
+def _matching_invalid(g: Graph) -> bool:
+    try:
+        maximum_matching(g).validate(g)
+    except ValueError:
+        return True
+    return False
+
+
+def _bipartite_matchings_disagree(g: Graph) -> bool:
+    sides = two_coloring(g)
+    if sides is None:
         return False
-    return core(g) != oracle.brute_core(g)
+    return maximum_bipartite_matching(g, sides).size != maximum_matching(g).size
+
+
+def _double_cover_broken(g: Graph) -> bool:
+    cover = bipartite_double_cover(g)
+    if cover.graph.m != 2 * g.m:
+        return True
+    mu_cover = maximum_bipartite_matching(cover.graph, cover.left_mask).size
+    return critical_difference(g) != g.n - mu_cover
 
 
 def _recognition_inconsistent(g: Graph) -> bool:
@@ -236,242 +287,105 @@ def _critical_family_broken(g: Graph) -> bool:
     return False
 
 
+def _local_max_not_extending(g: Graph, s: int) -> bool:
+    """A local maximum independent set *s* that extends to no maximum one."""
+    return is_local_max_independent_set(g, s) and not extends_to_maximum(g, s)
+
+
 def _hall_crosscheck_broken(g: Graph, from_set: int, into_set: int) -> bool:
     result = saturating_matching(g, from_set, into_set)
-    holds = True
     members = list(bits(from_set))
-    for r in range(1, len(members) + 1):
-        for comb in combinations(members, r):
-            w = vset(comb)
-            if (neighborhood(g, w) & into_set).bit_count() < w.bit_count():
-                holds = False
-                break
-        if not holds:
-            break
-    if isinstance(result, Matching):
-        if not holds:
-            return True
-        result.validate(g)
-        for u, v in result.edges:
-            crosses = ((from_set >> u) & (into_set >> v) & 1) or (
-                (from_set >> v) & (into_set >> u) & 1
-            )
-            if not crosses:
-                return True
-        return result.saturated & from_set != from_set
-    viol = result.violator
-    return holds or (
-        (neighborhood(g, viol) & into_set).bit_count() >= viol.bit_count()
+    holds = all(
+        (neighborhood(g, vset(comb)) & into_set).bit_count() >= r
+        for r in range(1, len(members) + 1)
+        for comb in combinations(members, r)
+    )
+    if isinstance(result, HallViolation):
+        viol = result.violator
+        return holds or (neighborhood(g, viol) & into_set).bit_count() >= viol.bit_count()
+    if not holds:
+        return True
+    result.validate(g)
+    return result.saturated & from_set != from_set or not all(
+        ((from_set >> u) & (into_set >> v) | (from_set >> v) & (into_set >> u)) & 1
+        for u, v in result.edges
     )
 
 
+def _deficiency_broken(g: Graph) -> bool:
+    exposed = g.n - maximum_matching(g).saturated.bit_count()
+    return deficiency(g) != exposed or deficiency(g) < 0
+
+
+def _inequality_chain_broken(g: Graph) -> bool:
+    a = alpha(g).value
+    mu = maximum_matching(g).size
+    d = critical_difference(g)
+    ac = max_critical_independent_set(g).set.bit_count()
+    c = core(g)
+    surplus = c.bit_count() - neighborhood(g, c).bit_count()
+    return not (0 <= d <= ac <= a <= g.n - mu) or d < surplus
+
+
 # ---------------------------------------------------------------------------
-# Checks: name, scope, runner. Runners yield Violations.
+# Pools: each yields samples (tag, graph, *extra). The tag names the sample
+# in a violation's detail; the extra values are passed on to the predicates.
+
+Pool = Callable[[random.Random], Iterator[tuple]]
 
 
-def _check_fixture_facts(_rng: random.Random, _cap: int) -> Iterator[Violation]:
-    expectations = {
-        # name: (n, m, alpha, mu, d, alpha_c, core labels, ncore labels, is_ke)
-        "H1": (4, 4, 2, 2, 0, 2, {"1"}, {"2"}, True),
-        "H2": (7, 7, 4, 3, 1, 4, None, None, True),
-        "H3": (5, 5, 2, 2, 0, 1, None, None, False),
-        "G1": (9, 9, 6, 3, 3, 6, {"a", "b", "d", "f", "g"}, {"c", "e"}, True),
-        "G2": (9, 18, 4, 3, 2, 3, {"x", "y", "z"}, {"v"}, False),
-        "GF10": (8, 8, 4, 3, 1, 2, {"a", "h"}, {"b"}, False),
-    }
-    for name, exp in expectations.items():
-        g = fixture(name)
-        n, m, a, mu, d, ac, core_labels, ncore_labels, ke = exp
-        got = (
-            g.n,
-            g.m,
-            alpha(g).value,
-            maximum_matching(g).size,
-            critical_difference(g),
-            max_critical_independent_set(g).set.bit_count(),
-        )
-        if got != (n, m, a, mu, d, ac):
-            yield Violation(
-                "fixture_facts", f"{name}: (n,m,alpha,mu,d,alpha_c)={got}", g
-            )
-            continue
-        if koenig.recognize_ke(g).is_ke != ke:
-            yield Violation("fixture_facts", f"{name}: KE verdict flipped", g)
-            continue
-        if core_labels is not None:
-            c = core(g)
-            if set(g.labels_of(c)) != core_labels or set(
-                g.labels_of(neighborhood(g, c))
-            ) != ncore_labels:
-                yield Violation("fixture_facts", f"{name}: core/N(core) wrong", g)
+def _fixtures(names: tuple[str, ...] = FIXTURE_NAMES) -> Pool:
+    def pool(_rng: random.Random) -> Iterator[tuple]:
+        for name in names:
+            yield name, fixture(name)
+
+    return pool
 
 
-def _check_fixture_roundtrip(_rng: random.Random, _cap: int) -> Iterator[Violation]:
-    for name in ("H1", "H2", "H3", "G1", "G2", "GF10"):
-        g = fixture(name)
-        if _roundtrip_broken(g):
-            yield Violation(
-                "graph6_roundtrip", f"fixture {name}", g, _roundtrip_broken
-            )
+def _fixture_facts_pool(_rng: random.Random) -> Iterator[tuple]:
+    for name, facts in FIXTURE_FACTS.items():
+        yield name, fixture(name), facts
 
 
-def _check_fixture_oracle(_rng: random.Random, _cap: int) -> Iterator[Violation]:
-    for name in ("H1", "H2", "H3", "G1", "G2", "GF10"):
-        g = fixture(name)
-        for pred, label in (
-            (_mu_oracle_broken, "mu"),
-            (_alpha_oracle_broken, "alpha"),
-            (_d_oracle_broken, "d"),
-            (_alpha_c_oracle_broken, "alpha_c"),
-            (_core_oracle_broken, "core"),
-        ):
-            if pred(g):
-                yield Violation("fixture_oracle", f"{name}: {label}", g, pred)
-
-
-def _check_kn_minus_e(_rng: random.Random, _cap: int) -> Iterator[Violation]:
+def _kn_minus_e_pool(_rng: random.Random) -> Iterator[tuple]:
     for half in (3, 4, 5):
-        g = generate("complete_minus_edge", 2 * half)
-        a = alpha(g).value
-        mu = maximum_matching(g).size
-        c = core(g)
-        surplus = c.bit_count() - neighborhood(g, c).bit_count()
-        ok = (
-            a - mu == 2 - half
-            and surplus == 4 - 2 * half
-            and critical_difference(g) == 0
-            and not koenig.recognize_ke(g).is_ke
-        )
-        if not ok:
-            yield Violation("complete_minus_edge_family", f"2n={2 * half}", g)
+        yield f"2n={2 * half}", generate("complete_minus_edge", 2 * half), half
 
 
-def _check_roundtrip_random(rng: random.Random, _cap: int) -> Iterator[Violation]:
-    for _ in range(1000):
-        g = random_graph(rng, rng.randint(0, 60), rng.random())
-        if _roundtrip_broken(g):
-            yield Violation("graph6_roundtrip", "random graph", g, _roundtrip_broken)
-            return
+def _random_graphs(count: int, max_n: int, bipartite: bool = False) -> Pool:
+    """*count* random graphs, n uniform in 0..max_n, edge chance uniform in [0, 1)."""
+
+    def pool(rng: random.Random) -> Iterator[tuple]:
+        for _ in range(count):
+            if bipartite:
+                yield "", random_bipartite_graph(rng, rng.randint(0, max_n), rng.random())[0]
+            else:
+                yield "", random_graph(rng, rng.randint(0, max_n), rng.random())
+
+    return pool
 
 
-def _check_matching_oracle(rng: random.Random, _cap: int) -> Iterator[Violation]:
+def _matching_pool(rng: random.Random) -> Iterator[tuple]:
+    """500 graphs within the mu oracle's edge limit."""
     done = 0
     while done < 500:
         g = random_graph(rng, rng.randint(0, 14), rng.choice([0.1, 0.2, 0.3, 0.5]))
         if g.m > oracle.ORACLE_EDGE_LIMIT:
             continue
         done += 1
-        if _mu_oracle_broken(g):
-            yield Violation("matching_oracle", "mu mismatch", g, _mu_oracle_broken)
-            return
-        matching = maximum_matching(g)
-        try:
-            matching.validate(g)
-        except ValueError as exc:
-            yield Violation("matching_oracle", f"invalid matching: {exc}", g)
-            return
+        yield "", g
 
 
-def _check_bipartite_agreement(rng: random.Random, _cap: int) -> Iterator[Violation]:
-    def broken(g: Graph) -> bool:
-        sides = two_coloring(g)
-        if sides is None:
-            return False
-        return (
-            maximum_bipartite_matching(g, sides).size != maximum_matching(g).size
-        )
-
-    for _ in range(200):
-        g, _sides = random_bipartite_graph(rng, rng.randint(0, 40), rng.random())
-        if broken(g):
-            yield Violation("bipartite_agreement", "cardinality mismatch", g, broken)
-            return
+def _ke_pool(rng: random.Random) -> Iterator[tuple]:
+    return chain(
+        _fixtures(("H1", "H2", "G1"))(rng),
+        _random_graphs(300, 24, bipartite=True)(rng),
+        _random_graphs(500, 10)(rng),
+    )
 
 
-def _check_double_cover(rng: random.Random, _cap: int) -> Iterator[Violation]:
-    def broken(g: Graph) -> bool:
-        cover = bipartite_double_cover(g)
-        if cover.graph.m != 2 * g.m:
-            return True
-        mu_cover = maximum_bipartite_matching(cover.graph, cover.left_mask).size
-        return critical_difference(g) != g.n - mu_cover
-
-    for _ in range(200):
-        g = random_graph(rng, rng.randint(0, 16), rng.random())
-        if broken(g):
-            yield Violation("double_cover", "cover identity broken", g, broken)
-            return
-
-
-def _check_independence_oracle(rng: random.Random, _cap: int) -> Iterator[Violation]:
-    for _ in range(500):
-        g = random_graph(rng, rng.randint(0, 16), rng.random())
-        for pred, label in (
-            (_alpha_oracle_broken, "alpha"),
-            (_d_oracle_broken, "d"),
-            (_alpha_c_oracle_broken, "alpha_c"),
-            (_core_oracle_broken, "core"),
-        ):
-            if pred(g):
-                yield Violation("independence_oracle", label, g, pred)
-                return
-
-
-def _check_omega_properties(rng: random.Random, _cap: int) -> Iterator[Violation]:
-    for _ in range(200):
-        g = random_graph(rng, rng.randint(0, 12), rng.random())
-        if _omega_properties_broken(g):
-            yield Violation(
-                "omega_properties", "bad stream element or core mismatch",
-                g, _omega_properties_broken,
-            )
-            return
-
-
-def _check_recognition_consistency(rng: random.Random, _cap: int) -> Iterator[Violation]:
-    for _ in range(2000):
-        g = random_graph(rng, rng.randint(0, 10), rng.random())
-        if _recognition_inconsistent(g):
-            yield Violation(
-                "recognition_consistency", "predicates disagree",
-                g, _recognition_inconsistent,
-            )
-            return
-
-
-def _check_ke_guarantees(rng: random.Random, cap: int) -> Iterator[Violation]:
-    pools: list[Graph] = [fixture(name) for name in ("H1", "H2", "G1")]
-    for _ in range(300):
-        g, _sides = random_bipartite_graph(rng, rng.randint(0, 24), rng.random())
-        pools.append(g)
-    for _ in range(500):
-        pools.append(random_graph(rng, rng.randint(0, 10), rng.random()))
-    for g in pools:
-        for pred, label in (
-            (_ke_chain_broken, "equality chain"),
-            (_ke_perfect_matching_link_broken, "d=0 vs perfect matching"),
-            (_ke_certificate_invalid, "certificate"),
-            (_bipartite_not_ke, "bipartite verdict"),
-            (partial(_ke_structure_broken, cap=cap), "structure checks"),
-        ):
-            if pred(g):
-                yield Violation("ke_guarantees", label, g, pred)
-                return
-
-
-def _check_critical_family(rng: random.Random, _cap: int) -> Iterator[Violation]:
-    for _ in range(150):
-        g = random_graph(rng, rng.randint(0, 10), rng.random())
-        if _critical_family_broken(g):
-            yield Violation(
-                "critical_family",
-                "critical set fails local-max/extension/Hall",
-                g, _critical_family_broken,
-            )
-            return
-
-
-def _check_local_max_extension(rng: random.Random, _cap: int) -> Iterator[Violation]:
+def _local_max_pool(rng: random.Random) -> Iterator[tuple]:
+    """Up to 200 local maximum independent sets out of 4000 draws."""
     found = 0
     attempts = 0
     while found < 200 and attempts < 4000:
@@ -493,14 +407,11 @@ def _check_local_max_extension(rng: random.Random, _cap: int) -> Iterator[Violat
         if not is_local_max_independent_set(g, s):
             continue
         found += 1
-        if not extends_to_maximum(g, s):
-            yield Violation(
-                "local_max_extension", "local maximum fails to extend", g
-            )
-            return
+        yield f"set={sorted(bits(s))}", g, s
 
 
-def _check_hall_crosscheck(rng: random.Random, _cap: int) -> Iterator[Violation]:
+def _hall_pool(rng: random.Random) -> Iterator[tuple]:
+    """200 graphs with disjoint random sets to match from and into."""
     for _ in range(200):
         g = random_graph(rng, rng.randint(2, 12), rng.random())
         shuffled = list(range(g.n))
@@ -509,71 +420,118 @@ def _check_hall_crosscheck(rng: random.Random, _cap: int) -> Iterator[Violation]
         from_set = vset(shuffled[:k])
         into_size = rng.randint(1, g.n - k)
         into_set = vset(shuffled[k:k + into_size])
-        if _hall_crosscheck_broken(g, from_set, into_set):
-            yield Violation(
-                "hall_crosscheck",
-                f"from={sorted(bits(from_set))} into={sorted(bits(into_set))}",
-                g,
-            )
-            return
+        yield (
+            f"from={sorted(bits(from_set))} into={sorted(bits(into_set))}",
+            g, from_set, into_set,
+        )
 
 
-def _check_deficiency(rng: random.Random, _cap: int) -> Iterator[Violation]:
-    def broken(g: Graph) -> bool:
-        matching = maximum_matching(g)
-        exposed = g.n - matching.saturated.bit_count()
-        return deficiency(g) != exposed or deficiency(g) < 0
-
-    for _ in range(200):
-        g = random_graph(rng, rng.randint(0, 20), rng.random())
-        if broken(g):
-            yield Violation("deficiency", "exposed-count mismatch", g, broken)
-            return
+# ---------------------------------------------------------------------------
+# The check table and its runner.
 
 
-def _check_inequality_chain(rng: random.Random, _cap: int) -> Iterator[Violation]:
-    def broken(g: Graph) -> bool:
-        a = alpha(g).value
-        mu = maximum_matching(g).size
-        d = critical_difference(g)
-        ac = max_critical_independent_set(g).set.bit_count()
-        c = core(g)
-        surplus = c.bit_count() - neighborhood(g, c).bit_count()
-        return not (0 <= d <= ac <= a <= g.n - mu) or d < surplus
+class Probe(NamedTuple):
+    """A labelled predicate. ``shrink``: a violating graph is minimized by
+    vertex deletion. ``takes_cap``: the predicate gets the run's Omega cap."""
 
-    for _ in range(300):
-        g = random_graph(rng, rng.randint(0, 14), rng.random())
-        if broken(g):
-            yield Violation("inequality_chain", "0<=d<=alpha_c<=alpha<=n-mu", g, broken)
-            return
+    label: str
+    broken: Callable[..., bool]
+    shrink: bool = True
+    takes_cap: bool = False
 
 
-QUICK_CHECKS: tuple[
-    tuple[str, Callable[[random.Random, int], Iterator[Violation]]], ...
-] = (
-    ("fixture_facts", _check_fixture_facts),
-    ("fixture_roundtrip", _check_fixture_roundtrip),
-    ("fixture_oracle", _check_fixture_oracle),
-    ("complete_minus_edge_family", _check_kn_minus_e),
+class Check(NamedTuple):
+    name: str  # also seeds the check's RNG
+    scope: str  # "quick" checks run in both scopes, "full" ones in full only
+    pool: Pool
+    probes: tuple[Probe, ...]
+
+
+ORACLE_PROBES = (
+    Probe("mu", _mu_oracle_broken),
+    Probe("alpha", _alpha_oracle_broken),
+    Probe("d", _d_oracle_broken),
+    Probe("alpha_c", _alpha_c_oracle_broken),
+    Probe("core", _core_oracle_broken),
 )
 
-FULL_CHECKS = QUICK_CHECKS + (
-    ("graph6_roundtrip", _check_roundtrip_random),
-    ("matching_oracle", _check_matching_oracle),
-    ("bipartite_agreement", _check_bipartite_agreement),
-    ("double_cover", _check_double_cover),
-    ("independence_oracle", _check_independence_oracle),
-    ("omega_properties", _check_omega_properties),
-    ("recognition_consistency", _check_recognition_consistency),
-    ("ke_guarantees", _check_ke_guarantees),
-    ("critical_family", _check_critical_family),
-    ("local_max_extension", _check_local_max_extension),
-    ("hall_crosscheck", _check_hall_crosscheck),
-    ("deficiency", _check_deficiency),
-    ("inequality_chain", _check_inequality_chain),
+_TABLE = (
+    Check("fixture_facts", "quick", _fixture_facts_pool, (
+        Probe("differs from the published values", _fixture_facts_wrong, shrink=False),
+    )),
+    Check("fixture_roundtrip", "quick", _fixtures(), (
+        Probe("graph6 round trip", _roundtrip_broken),
+    )),
+    Check("fixture_oracle", "quick", _fixtures(), ORACLE_PROBES),
+    Check("complete_minus_edge_family", "quick", _kn_minus_e_pool, (
+        Probe("family formulas", _kn_minus_e_broken, shrink=False),
+    )),
+    Check("graph6_roundtrip", "full", _random_graphs(1000, 60), (
+        Probe("random graph", _roundtrip_broken),
+    )),
+    Check("matching_oracle", "full", _matching_pool, (
+        Probe("mu mismatch", _mu_oracle_broken),
+        Probe("invalid matching", _matching_invalid, shrink=False),
+    )),
+    Check("bipartite_agreement", "full", _random_graphs(200, 40, bipartite=True), (
+        Probe("cardinality mismatch", _bipartite_matchings_disagree),
+    )),
+    Check("double_cover", "full", _random_graphs(200, 16), (
+        Probe("cover identity broken", _double_cover_broken),
+    )),
+    Check("independence_oracle", "full", _random_graphs(500, 16), ORACLE_PROBES[1:]),
+    Check("omega_properties", "full", _random_graphs(200, 12), (
+        Probe("bad stream element or core mismatch", _omega_properties_broken),
+    )),
+    Check("recognition_consistency", "full", _random_graphs(2000, 10), (
+        Probe("predicates disagree", _recognition_inconsistent),
+    )),
+    Check("ke_guarantees", "full", _ke_pool, (
+        Probe("equality chain", _ke_chain_broken),
+        Probe("d=0 vs perfect matching", _ke_perfect_matching_link_broken),
+        Probe("certificate", _ke_certificate_invalid),
+        Probe("bipartite verdict", _bipartite_not_ke),
+        Probe("structure checks", _ke_structure_broken, takes_cap=True),
+    )),
+    Check("critical_family", "full", _random_graphs(150, 10), (
+        Probe("critical set fails local-max/extension/Hall", _critical_family_broken),
+    )),
+    Check("local_max_extension", "full", _local_max_pool, (
+        Probe("local maximum fails to extend", _local_max_not_extending, shrink=False),
+    )),
+    Check("hall_crosscheck", "full", _hall_pool, (
+        Probe("Hall condition vs matching", _hall_crosscheck_broken, shrink=False),
+    )),
+    Check("deficiency", "full", _random_graphs(200, 20), (
+        Probe("exposed-count mismatch", _deficiency_broken),
+    )),
+    Check("inequality_chain", "full", _random_graphs(300, 14), (
+        Probe("0<=d<=alpha_c<=alpha<=n-mu", _inequality_chain_broken),
+    )),
 )
 
-CHECKS = {"quick": QUICK_CHECKS, "full": FULL_CHECKS}
+CHECKS = {
+    "quick": tuple(c for c in _TABLE if c.scope == "quick"),
+    "full": _TABLE,
+}
+
+
+def run_check(check: Check, seed: int = DEFAULT_SEED, cap: int = 200000) -> Violation | None:
+    """Run every sample of the check's pool through its probes in order;
+    return the first violation (minimized where the probe shrinks) or None."""
+    probes = [
+        (p.label, partial(p.broken, cap=cap) if p.takes_cap else p.broken, p.shrink)
+        for p in check.probes
+    ]
+    rng = random.Random(f"{seed}:{check.name}")
+    for tag, g, *extra in check.pool(rng):
+        for label, broken, shrink in probes:
+            if broken(g, *extra):
+                detail = f"{tag}: {label}" if tag else label
+                if shrink:
+                    return Violation(check.name, detail, minimize(g, broken), broken)
+                return Violation(check.name, detail, g)
+    return None
 
 
 def run_suite(
@@ -583,13 +541,11 @@ def run_suite(
     cap: int = 200000,
 ) -> Violation | None:
     """Run the named scope; return the first violation (minimized) or None."""
-    checks = CHECKS[scope]
-    for name, check in checks:
-        rng = random.Random(f"{seed}:{name}")
-        for violation in check(rng, cap):
-            if violation.graph is not None and violation.predicate is not None:
-                violation.graph = minimize(violation.graph, violation.predicate)
+    for check in CHECKS[scope]:
+        t0 = time.perf_counter()
+        violation = run_check(check, seed, cap)
+        if violation is not None:
             return violation
         if log:
-            log(f"ok: {name}")
+            log(f"ok: {check.name} ({time.perf_counter() - t0:.2f} s)")
     return None

@@ -16,6 +16,19 @@ import pytest
 
 import kegraph as kg
 from kegraph import oracle
+from kegraph.verify import (
+    CHECKS,
+    ORACLE_PROBES,
+    _critical_family_broken,
+    _d_oracle_broken,
+    _ke_certificate_invalid,
+    _ke_chain_broken,
+    _ke_perfect_matching_link_broken,
+    _kn_minus_e_broken,
+    _recognition_inconsistent,
+    _roundtrip_broken,
+    run_check,
+)
 
 from conftest import critical_sets_of
 
@@ -67,92 +80,34 @@ def ke_pool(bipartite_pool, small_pool) -> list[kg.Graph]:
 
 @criterion(1, "fixture corpus reproduces the published values")
 def test_criterion_1_fixtures():
-    h1, h2, h3 = kg.fixture("H1"), kg.fixture("H2"), kg.fixture("H3")
-    g1, g2, gf = kg.fixture("G1"), kg.fixture("G2"), kg.fixture("GF10")
-
-    # H3: alpha + mu = 4 < 5, not Konig-Egervary; H1 and H2 are.
-    assert kg.alpha(h3).value + kg.maximum_matching(h3).size == 4 < 5 == h3.n
-    assert not kg.recognize_ke(h3).is_ke
-    assert kg.recognize_ke(h1).is_ke
-    assert kg.recognize_ke(h2).is_ke
-
-    # G2: alpha=4, mu=3, core={x,y,z}, N(core)={v}, alpha-mu=1 < 2=surplus.
-    assert kg.alpha(g2).value == 4
-    assert kg.maximum_matching(g2).size == 3
-    c2 = kg.core(g2)
-    assert set(g2.labels_of(c2)) == {"x", "y", "z"}
-    assert g2.labels_of(kg.neighborhood(g2, c2)) == ["v"]
-    assert 4 - 3 == 1 < 2 == c2.bit_count() - 1
-
-    # GF10: alpha=4, mu=3, core={a,h}, N(core)={b}, d=1=surplus=alpha-mu.
-    assert kg.alpha(gf).value == 4
-    assert kg.maximum_matching(gf).size == 3
-    cf = kg.core(gf)
-    assert set(gf.labels_of(cf)) == {"a", "h"}
-    assert gf.labels_of(kg.neighborhood(gf, cf)) == ["b"]
-    d = kg.critical_difference(gf)
-    assert d == 1 == cf.bit_count() - 1 == kg.alpha(gf).value - 3
-
-    # G1: alpha=6, mu=3, core={a,b,d,f,g}, N(core)={c,e}, difference 3;
-    # the caption's own numbers give alpha + mu = n, so the computed verdict
-    # is KE (recorded as derived).
-    assert kg.alpha(g1).value == 6
-    assert kg.maximum_matching(g1).size == 3
-    c1 = kg.core(g1)
-    assert set(g1.labels_of(c1)) == {"a", "b", "d", "f", "g"}
-    assert set(g1.labels_of(kg.neighborhood(g1, c1))) == {"c", "e"}
-    assert c1.bit_count() - 2 == 3 == kg.alpha(g1).value - 3
-    assert kg.recognize_ke(g1).is_ke
+    # n, m, alpha, mu, d, alpha_c, the KE verdict, core and N(core) of the
+    # six fixtures, as tabulated in kegraph.verify.FIXTURE_FACTS.
+    (check,) = [c for c in CHECKS["quick"] if c.name == "fixture_facts"]
+    assert run_check(check) is None
 
 
 @criterion(2, "complete-graph-minus-an-edge family matches the formulas")
 def test_criterion_2_family():
     for half in (3, 4, 5):
         g = kg.generate("complete_minus_edge", 2 * half)
-        a = kg.alpha(g).value
-        mu = kg.maximum_matching(g).size
-        assert a - mu == 2 - half
-        c = kg.core(g)
-        assert c.bit_count() - kg.neighborhood(g, c).bit_count() == 4 - 2 * half
-        assert not kg.recognize_ke(g).is_ke
-        d = kg.critical_difference(g)
-        assert d == 0
-        assert d == oracle.brute_critical_difference(g, "independent_only")
-        assert d == oracle.brute_critical_difference(g, "all_subsets")
+        # alpha - mu = 2 - n, core surplus 4 - 2n, d = 0, not KE
+        assert not _kn_minus_e_broken(g, half)
+        # d = 0 agrees with brute force over both subset families
+        assert not _d_oracle_broken(g)
 
 
 @criterion(3, "equality chain d = core surplus = alpha - mu = def on all KE graphs")
 def test_criterion_3_chain(ke_pool):
     assert len(ke_pool) > 500  # all bipartite graphs land here
-    violations = 0
-    for g in ke_pool:
-        report = kg.equality_chain_report(g)
-        if not report.chain_holds:
-            violations += 1
+    violations = sum(_ke_chain_broken(g) for g in ke_pool)
     assert violations == 0
 
 
 @criterion(4, "KE <=> some MIS critical <=> every MIS critical; alpha_c = alpha on KE")
 def test_criterion_4_characterization(small_pool):
     graphs = [kg.fixture(name) for name in FIXTURES] + small_pool
-    violations = 0
-    for g in graphs:
-        a = kg.alpha(g).value
-        mu = kg.maximum_matching(g).size
-        by_definition = a + mu == g.n
-        record = kg.characterization_check(g)
-        if not (
-            by_definition
-            == record.exists_critical_mis
-            == record.all_mis_critical
-            == record.is_ke
-        ):
-            violations += 1
-            continue
-        if record.is_ke:
-            alpha_c = kg.max_critical_independent_set(g).set.bit_count()
-            if alpha_c != a:
-                violations += 1
+    # alpha + mu = n <=> alpha_c = alpha <=> some / every MIS is critical
+    violations = sum(_recognition_inconsistent(g) for g in graphs)
     assert violations == 0
 
 
@@ -165,24 +120,10 @@ def test_criterion_5_oracle_equivalence():
     mismatches = 0
     mu_checked = 0
     for g in graphs:
-        if kg.alpha(g).value != oracle.brute_alpha(g):
-            mismatches += 1
         if g.m <= oracle.ORACLE_EDGE_LIMIT:
             mu_checked += 1
-            if kg.maximum_matching(g).size != oracle.brute_mu(g):
-                mismatches += 1
-        d = kg.critical_difference(g)
-        # the double-cover identity, against both subset families
-        if d != oracle.brute_critical_difference(g, "independent_only"):
-            mismatches += 1
-        if d != oracle.brute_critical_difference(g, "all_subsets"):
-            mismatches += 1
-        if kg.max_critical_independent_set(g).set.bit_count() != (
-            oracle.brute_alpha_c(g)[0]
-        ):
-            mismatches += 1
-        if kg.core(g) != oracle.brute_core(g):
-            mismatches += 1
+        # mu, alpha, d (both subset families), alpha_c and core
+        mismatches += sum(probe.broken(g) for probe in ORACLE_PROBES)
     assert mismatches == 0
     assert mu_checked >= 300  # graphs with m <= 24, where the mu oracle applies
 
@@ -190,30 +131,16 @@ def test_criterion_5_oracle_equivalence():
 @criterion(6, "certificates: KE witnesses saturate V - S; critical sets pass all checks")
 def test_criterion_6_certificates(ke_pool, small_pool):
     for g in ke_pool:
-        cert = kg.recognize_ke(g)
-        s = cert.ke_witness.independent_set
-        matching = cert.ke_witness.matching
-        matching.validate(g)
-        rest = g.full_mask & ~s
-        assert matching.saturated & rest == rest
-        assert kg.is_independent(g, s)
-        assert s.bit_count() == kg.alpha(g).value  # S is a maximum independent set
+        assert not _ke_certificate_invalid(g)
 
     sampled = 0
     failures = 0
     for g in small_pool:
         if g.n == 0 or g.n > 12:
             continue
-        for s in critical_sets_of(g):
-            sampled += 1
-            if not kg.is_local_max_independent_set(g, s):
-                failures += 1
-            if not kg.extends_to_maximum(g, s):
-                failures += 1
-            cert = kg.hall_certificate(g, s)
-            nb = kg.neighborhood(g, s)
-            if cert.saturated & nb != nb:
-                failures += 1
+        # every critical set is local-max, extends, and has a Hall matching
+        sampled += len(critical_sets_of(g))
+        failures += _critical_family_broken(g)
         if sampled >= 400:
             break
     assert sampled >= 200
@@ -239,7 +166,7 @@ def test_criterion_7_structure(ke_pool):
 @criterion(8, "on KE graphs, d = 0 exactly when a perfect matching exists")
 def test_criterion_8_perfect_matching_link(ke_pool):
     for g in ke_pool:
-        assert (kg.critical_difference(g) == 0) == kg.has_perfect_matching(g)
+        assert not _ke_perfect_matching_link_broken(g)
 
 
 @criterion(9, "graph6 round-trip identity and hand-encoded vectors")
@@ -247,7 +174,7 @@ def test_criterion_9_formats():
     rng = random.Random(f"{SEED}:graph6")
     for _ in range(1000):
         g = kg.random_graph(rng, rng.randint(0, 60), rng.random())
-        assert kg.parse_graph6(kg.emit_graph6(g)) == g
+        assert not _roundtrip_broken(g)
     k2 = kg.parse_graph6("A_")
     assert k2.n == 2 and k2.m == 1
     iso2 = kg.parse_graph6("A?")

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kegraph import (
     DuplicateEdgeWarning,
@@ -8,6 +9,7 @@ from kegraph import (
     InvalidCharError,
     MalformedError,
     NOverflowError,
+    ParseError,
     SelfLoopError,
     TrailingDataError,
     TruncatedError,
@@ -89,6 +91,11 @@ def test_n_overflow_gate():
     big = bytes([126, 126] + [63 + ((2000000 >> s) & 63) for s in range(30, -1, -6)])
     with pytest.raises(NOverflowError):
         parse_graph6(big)
+
+
+def test_non_ascii_text_is_an_invalid_char():
+    with pytest.raises(InvalidCharError):
+        parse_graph6("A\u00e9")
 
 
 def test_long_form_n63_roundtrip():
@@ -203,3 +210,41 @@ def test_edge_list_labels_in_first_appearance_order():
 def test_edge_list_empty_input_is_empty_graph():
     g = parse_edge_list("# nothing\n\n")
     assert g.n == 0 and isinstance(g, Graph)
+
+
+def test_edge_list_non_ascii_digits_are_labels():
+    # str.isdigit accepts superscript digits, which int() rejects.
+    g = parse_edge_list("\u00b9 \u00b2")
+    assert g.labels == ("\u00b9", "\u00b2") and g.m == 1
+    g = parse_edge_list("vertices: \u00b2")
+    assert g.labels == ("\u00b2",) and g.n == 1
+
+
+def test_edge_list_vertex_count_gate():
+    with pytest.raises(NOverflowError):
+        parse_edge_list("vertices: 1000001")
+    with pytest.raises(NOverflowError):
+        parse_edge_list("0 1000000")  # n = 10**6 + 1
+    with pytest.raises(NOverflowError):
+        parse_edge_list("0 1000000000")
+    with pytest.raises(NOverflowError):
+        parse_edge_list("0 " + "9" * 5000)  # past int()'s digit limit
+    assert parse_edge_list("0001 0").n == 2
+
+
+@given(st.one_of(st.binary(max_size=64), st.text(max_size=64)))
+@settings(max_examples=300, deadline=None)
+def test_parse_graph6_raises_only_parse_errors(data):
+    try:
+        assert isinstance(parse_graph6(data), Graph)
+    except ParseError:
+        pass
+
+
+@given(st.text(max_size=64))
+@settings(max_examples=300, deadline=None)
+def test_parse_edge_list_raises_only_parse_errors(text):
+    try:
+        assert isinstance(parse_edge_list(text), Graph)
+    except ParseError:
+        pass

@@ -12,6 +12,7 @@ from kegraph.oracle import (
     brute_critical_difference,
     brute_maximum_independent_sets,
     brute_mu,
+    disagreements,
 )
 
 
@@ -88,3 +89,16 @@ def test_gates():
         brute_mu(generate("complete", 8))  # 28 edges > 24
     assert brute_mu(generate("complete", 7)) == 3  # 21 edges, within the gate
     assert ORACLE_EDGE_LIMIT == 24
+
+
+def test_disagreements_names_wrong_values_within_gates(gf10):
+    # GF10: mu 3, d 1, alpha_c 2, alpha 4, core {a, h}
+    core = gf10.vset_of(["a", "h"])
+    assert disagreements(gf10, mu=3, d=1, alpha_c=2, alpha=4, core=core) == []
+    assert disagreements(gf10, mu=2, d=0, alpha_c=2, alpha=5, core=0) == [
+        "mu", "d[independent_only]", "d[all_subsets]", "alpha", "core",
+    ]
+    # n over the vertex gate: only mu (m = 0, within the edge gate) is checked
+    empty = generate("empty", ORACLE_VERTEX_LIMIT + 1)
+    assert disagreements(empty, mu=1, d=0, alpha=0, core=1) == ["mu"]
+    assert disagreements(generate("complete", 8), mu=0) == []  # m = 28 > 24

@@ -5,7 +5,15 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 import kegraph as kg
-from kegraph.oracle import brute_alpha, brute_critical_difference, brute_mu
+from kegraph.oracle import brute_alpha
+from kegraph.verify import (
+    _d_oracle_broken,
+    _inequality_chain_broken,
+    _local_max_not_extending,
+    _matching_invalid,
+    _mu_oracle_broken,
+    _roundtrip_broken,
+)
 
 from conftest import surplus
 
@@ -22,7 +30,7 @@ def graphs(draw, max_n: int = 10):
 @given(graphs(max_n=24))
 @settings(max_examples=150, deadline=None)
 def test_graph6_roundtrip(g):
-    assert kg.parse_graph6(kg.emit_graph6(g)) == g
+    assert not _roundtrip_broken(g)
 
 
 @given(graphs())
@@ -38,31 +46,22 @@ def test_neighborhood_identities(g):
 @given(graphs())
 @settings(max_examples=100, deadline=None)
 def test_matching_is_valid_and_maximum(g):
-    m = kg.maximum_matching(g)
-    m.validate(g)
-    if g.m <= 24:
-        assert m.size == brute_mu(g)
+    assert not _matching_invalid(g)
+    assert not _mu_oracle_broken(g)  # checked where m <= 24
 
 
 @given(graphs())
 @settings(max_examples=100, deadline=None)
 def test_invariant_inequality_chain(g):
-    a = kg.alpha(g).value
-    mu = kg.maximum_matching(g).size
-    d = kg.critical_difference(g)
-    ac = kg.max_critical_independent_set(g).set.bit_count()
-    assert 0 <= d <= ac <= a <= g.n - mu
-    c = kg.core(g)
-    assert d >= c.bit_count() - kg.neighborhood(g, c).bit_count()
+    # 0 <= d <= alpha_c <= alpha <= n - mu, and d >= the core's surplus
+    assert not _inequality_chain_broken(g)
 
 
 @given(graphs())
 @settings(max_examples=100, deadline=None)
 def test_double_cover_identity(g):
-    assert kg.critical_difference(g) == brute_critical_difference(g, "all_subsets")
-    assert kg.critical_difference(g) == brute_critical_difference(
-        g, "independent_only"
-    )
+    # d against brute force over independent sets and over all subsets
+    assert not _d_oracle_broken(g)
 
 
 @given(graphs(max_n=9))
@@ -109,8 +108,7 @@ def test_local_max_sets_extend_to_maximum(g, raw):
     s = raw & g.full_mask
     if not kg.is_independent(g, s):
         return
-    if kg.is_local_max_independent_set(g, s):
-        assert kg.extends_to_maximum(g, s)
+    assert not _local_max_not_extending(g, s)
 
 
 @given(graphs(max_n=12))

@@ -171,6 +171,26 @@ def test_cli_batch_skips_malformed_lines(tmp_path):
     assert "line 2" in out.stderr
 
 
+def test_cli_analyze_non_utf8_exit_2(tmp_path):
+    bad = tmp_path / "bad.g6"
+    bad.write_bytes(b"\xff\xfe\n")
+    out = run_cli("analyze", str(bad))
+    assert out.returncode == 2
+    assert "can't decode" in out.stderr and "Traceback" not in out.stderr
+
+
+def test_cli_batch_non_utf8_line_is_a_line_error(tmp_path):
+    mixed = tmp_path / "mixed.g6"
+    mixed.write_bytes(b"A_\n\xffA\nBw\n")
+    out = run_cli("batch", str(mixed))
+    assert out.returncode == 0
+    rows = [
+        ln for ln in out.stdout.strip().splitlines()[1:] if not ln.startswith("#")
+    ]
+    assert [row.split(",")[0] for row in rows] == ["A_", "Bw"]
+    assert "line 2" in out.stderr and "Traceback" not in out.stderr
+
+
 def test_cli_batch_empty_exit_2(tmp_path):
     path = tmp_path / "empty.g6"
     path.write_text("")

@@ -1,15 +1,25 @@
 import random
+import re
+
+import pytest
 
 from kegraph import Graph, fixture, generate
-from kegraph.verify import DEFAULT_SEED, minimize, run_suite
+from kegraph.verify import CHECKS, DEFAULT_SEED, minimize, run_check, run_suite
 
 
-def test_quick_suite_clean():
-    assert run_suite("quick", seed=20090001) is None
+@pytest.mark.parametrize("check", CHECKS["full"], ids=lambda c: c.name)
+def test_check_clean(check):
+    # One item per check of the full scope; the quick checks are among them.
+    assert run_check(check, DEFAULT_SEED) is None
 
 
-def test_full_suite_clean():
-    assert run_suite("full", seed=DEFAULT_SEED) is None
+def test_run_suite_logs_each_check_with_wall_time():
+    lines = []
+    assert run_suite("quick", log=lines.append) is None
+    assert [line.split(" (")[0] for line in lines] == [
+        f"ok: {check.name}" for check in CHECKS["quick"]
+    ]
+    assert all(re.fullmatch(r"ok: \w+ \(\d+\.\d\d s\)", line) for line in lines)
 
 
 def test_minimize_shrinks_to_smallest_witness():
