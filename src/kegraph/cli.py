@@ -1,7 +1,9 @@
 """Command-line surface: analyze, batch, gen, verify.
 
 Exit codes: 0 success, 1 verify violation, 2 parse/parameter error,
-3 size-gated fields omitted without --force.
+3 size-gated fields omitted without --force, 141 standard output closed
+before all output was written (as `kegraph analyze ... | head -5` does;
+141 is the status a shell reports for a process ended by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -79,8 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_graph(args: argparse.Namespace) -> tuple[Graph, str]:
     if args.fixture:
         return fixture(args.fixture), args.fixture
+    # Input is strict UTF-8 whatever the locale, from stdin as from a file.
     if args.path == "-":
-        text = sys.stdin.read()
+        text = sys.stdin.buffer.read().decode("utf-8")
         name = "stdin"
     else:
         with open(args.path, encoding="utf-8") as fh:
@@ -211,6 +214,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
+EXIT_OUTPUT_CLOSED = 141
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
@@ -219,7 +225,17 @@ def main(argv: list[str] | None = None) -> int:
         "gen": _cmd_gen,
         "verify": _cmd_verify,
     }
-    return handlers[args.command](args)
+    try:
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Whoever read the output stopped reading. Point stdout at the null
+        # device so the interpreter's final flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OUTPUT_CLOSED
+    return code
 
 
 if __name__ == "__main__":

@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstructionFailedError, NotCriticalError
-from .graph import Graph, bits, is_independent, neighborhood
-from .matching import HallViolation, Matching, _kuhn, saturating_matching
+from .graph import Graph, bits, is_independent, neighborhood, vset
+from .matching import HallViolation, Matching, _grow, _kuhn, saturating_matching
 
 __all__ = [
     "DoubleCover",
@@ -103,10 +103,16 @@ def max_critical_independent_set(g: Graph) -> CriticalWitness:
 
     The empty set is a legal witness (graphs with d = 0 and no positive
     attainer). The runtime contract check cannot be disabled.
+
+    One matching of the double cover is kept across the scan: each probe
+    repairs it on the rest of the graph instead of matching from scratch,
+    and a committed probe keeps the repaired matching.
     """
     adj = g.adj
     active = g.full_mask
-    d = d_whole = g.n - _cover_mu(adj, active)
+    mate_l, mate_r = _kuhn(adj, active, active)
+    loose = _loose(adj, active, active, mate_l)
+    d = d_whole = g.n - len(mate_l)
     chosen = 0
     for v in range(g.n):
         if not (active >> v) & 1:
@@ -119,12 +125,56 @@ def max_critical_independent_set(g: Graph) -> CriticalWitness:
         n_rest = rest.bit_count()
         if target > n_rest:
             continue
-        d_rest = n_rest - _cover_mu(adj, rest)
+        probe = _repaired(adj, rest, nb | bit, mate_l, mate_r, loose)
+        d_rest = n_rest - len(probe[0])
         if d_rest == target:
             chosen |= bit
             active = rest
             d = d_rest
+            mate_l, mate_r, loose = probe
     return _checked_witness(g, chosen, d_whole)
+
+
+def _repaired(
+    adj: tuple[int, ...],
+    rest: int,
+    gone: int,
+    mate_l: dict[int, int],
+    mate_r: dict[int, int],
+    loose: int,
+) -> tuple[dict[int, int], dict[int, int], int]:
+    """Maximum cover matching on *rest*, from a maximum one on rest | gone
+    whose exposed left vertices with a neighbour are *loose*.
+
+    The pairs that touch *gone* are dropped, and Kuhn's method runs from
+    the left vertices they free, then from the loose ones; the inputs are
+    not modified. Roots on the left suffice: every augmenting path has an
+    exposed left end, and an isolated vertex ends none. Returns (mate of
+    left, mate of right, loose left vertices).
+    """
+    mate_l = mate_l.copy()
+    mate_r = mate_r.copy()
+    freed = 0
+    for x in bits(gone):
+        w = mate_l.pop(x, None)
+        if w is not None:
+            del mate_r[w]
+        u = mate_r.pop(x, None)
+        if u is not None:
+            del mate_l[u]
+            freed |= (1 << u) & rest
+    # Freed roots first: their searches mostly succeed, and the loose
+    # roots' searches, which mostly fail, then share one dead mask.
+    loose &= rest
+    _grow(adj, freed, rest, mate_l, mate_r)
+    _grow(adj, loose, rest, mate_l, mate_r)
+    return mate_l, mate_r, _loose(adj, freed | loose, rest, mate_l)
+
+
+def _loose(adj: tuple[int, ...], roots: int, rest: int, mate_l: dict[int, int]) -> int:
+    """The vertices of *roots* that *mate_l* leaves exposed and that keep a
+    neighbour in *rest*."""
+    return vset(u for u in bits(roots) if u not in mate_l and adj[u] & rest)
 
 
 def _checked_witness(g: Graph, chosen: int, d: int) -> CriticalWitness:

@@ -9,7 +9,9 @@ x(0,1), x(0,2), x(1,2), x(0,3), ... packed 6 per byte, zero-padded.
 
 from __future__ import annotations
 
+import re
 import warnings
+from math import isqrt
 
 from .errors import (
     DuplicateEdgeWarning,
@@ -27,6 +29,11 @@ __all__ = ["parse_graph6", "emit_graph6", "parse_edge_list", "GRAPH6_HEADER"]
 
 GRAPH6_HEADER = b">>graph6<<"
 DEFAULT_MAX_N = 10**6
+
+# Body bytes carry 6 bits each, offset by 63; "?" (63) carries none.
+_BODY_BYTES = bytes(range(63, 127))
+_DIGIT_BYTES = bytes((b + 63) % 256 for b in range(256))
+_SET_BYTES = re.compile(rb"[^?]")
 
 
 def parse_graph6(data: bytes | str, max_n: int = DEFAULT_MAX_N) -> Graph:
@@ -57,21 +64,24 @@ def parse_graph6(data: bytes | str, max_n: int = DEFAULT_MAX_N) -> Graph:
             f"{len(raw) - pos - nbytes} unexpected bytes after graph6 record"
         )
 
-    acc = 0
-    for b in body:
-        if not 63 <= b <= 126:
-            raise InvalidCharError(f"byte {b} outside graph6 range 63..126")
-        acc = (acc << 6) | (b - 63)
-    total = 6 * nbytes
+    bad = body.translate(None, _BODY_BYTES)
+    if bad:
+        raise InvalidCharError(f"byte {bad[0]} outside graph6 range 63..126")
 
     adj = [0] * n
-    k = 0
-    for v in range(1, n):
-        for u in range(v):
-            if (acc >> (total - 1 - k)) & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            k += 1
+    for hit in _SET_BYTES.finditer(body):
+        i = hit.start()
+        x = body[i] - 63
+        while x:
+            top = x.bit_length() - 1
+            x ^= 1 << top
+            k = 6 * i + 5 - top
+            if k >= nbits:
+                break  # padding
+            v = (1 + isqrt(8 * k + 1)) // 2
+            u = k - v * (v - 1) // 2
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
     return Graph.from_adjacency(adj)
 
 
@@ -112,19 +122,18 @@ def emit_graph6(g: Graph) -> str:
     else:
         raise NOverflowError(f"vertex count {n} not representable in graph6")
 
-    nbits = n * (n - 1) // 2
-    acc = 0
+    # Bit k of the body is x(u, v) for k = v(v - 1)/2 + u, 6 bits per byte
+    # with the first bit highest.
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
     for v in range(1, n):
+        base = v * (v - 1) // 2
         col = g.adj[v] & ((1 << v) - 1)  # neighbors u < v
-        rev = 0
-        for u in range(v):
-            rev = (rev << 1) | ((col >> u) & 1)
-        acc = (acc << v) | rev
-    pad = (-nbits) % 6
-    acc <<= pad
-    total = nbits + pad
-    body = bytes(63 + ((acc >> s) & 63) for s in range(total - 6, -1, -6))
-    return (head + body).decode("ascii")
+        while col:
+            low = col & -col
+            k = base + low.bit_length() - 1
+            body[k // 6] |= 32 >> (k % 6)
+            col ^= low
+    return (head + body.translate(_DIGIT_BYTES)).decode("ascii")
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -184,13 +184,29 @@ def _kuhn(
 ) -> tuple[dict[int, int], dict[int, int]]:
     """Maximum matching of the bipartite graph induced by masks left/right,
     using only left-right edges of *adj*. Returns (mate of left, mate of right).
-
-    Greedy pass first, then one augmenting DFS per remaining exposed left
-    vertex; ascending index order throughout keeps results deterministic.
     """
-    mate_r: dict[int, int] = {}
     mate_l: dict[int, int] = {}
-    m = left
+    mate_r: dict[int, int] = {}
+    _grow(adj, left, right, mate_l, mate_r)
+    return mate_l, mate_r
+
+
+def _grow(
+    adj: tuple[int, ...] | list[int],
+    roots: int,
+    right: int,
+    mate_l: dict[int, int],
+    mate_r: dict[int, int],
+) -> None:
+    """Kuhn's method from a given matching, updated in place: a greedy pass,
+    then one augmenting search per root still exposed.
+
+    The result is maximum once *roots* holds every exposed left vertex:
+    each exposed root either gains a mate or has no augmenting path, and
+    augmenting elsewhere never creates one for it. Ascending index order
+    throughout keeps results deterministic.
+    """
+    m = roots
     while m:
         low = m & -m
         u = low.bit_length() - 1
@@ -206,44 +222,56 @@ def _kuhn(
                 mate_l[u] = w
                 break
             cand ^= lo
-    m = left
+    dead = 0
+    m = roots
     while m:
         low = m & -m
         u = low.bit_length() - 1
         m ^= low
-        if u in mate_l:
+        if u not in mate_l:
+            dead = _augment(adj, u, right, mate_l, mate_r, dead)
+
+
+def _augment(
+    adj: tuple[int, ...] | list[int],
+    root: int,
+    right: int,
+    mate_l: dict[int, int],
+    mate_r: dict[int, int],
+    dead: int,
+) -> int:
+    """Alternating DFS from the exposed left vertex *root* to an exposed
+    vertex of *right*, never entering a right vertex of *dead*; flips the
+    path if one is found.
+
+    Returns the dead mask for the next search: 0 after a flip, else *dead*
+    plus every right vertex this search reached. A failed search leaves the
+    matching as it was, so nothing it reached can lead to an exposed vertex
+    until the next flip; skipping those vertices changes no path found.
+    """
+    visited = dead
+    stack = [(root, adj[root] & right)]
+    while stack:
+        cur, cand = stack[-1]
+        cand &= ~visited
+        if not cand:
+            stack.pop()
             continue
-        visited = 0
-        stack = [(u, adj[u] & right)]
-        came_from: dict[int, int] = {}
-        end = -1
-        while stack:
-            cur, cand = stack[-1]
-            cand &= ~visited
-            if not cand:
-                stack.pop()
-                continue
-            lo = cand & -cand
-            w = lo.bit_length() - 1
-            stack[-1] = (cur, cand ^ lo)
-            visited |= lo
-            came_from[w] = cur
-            if w not in mate_r:
-                end = w
-                break
-            nxt = mate_r[w]
-            stack.append((nxt, adj[nxt] & right))
-        if end != -1:
-            w = end
-            while True:
-                u2 = came_from[w]
-                prev = mate_l.get(u2)
-                mate_r[w] = u2
-                mate_l[u2] = w
-                if prev is None:
-                    break
+        lo = cand & -cand
+        w = lo.bit_length() - 1
+        stack[-1] = (cur, cand ^ lo)
+        visited |= lo
+        nxt = mate_r.get(w)
+        if nxt is None:
+            # The stack holds the path's left vertices, root first.
+            for u, _ in reversed(stack):
+                prev = mate_l.get(u)
+                mate_r[w] = u
+                mate_l[u] = w
                 w = prev
-    return mate_l, mate_r
+            return 0
+        stack.append((nxt, adj[nxt] & right))
+    return visited
 
 
 def maximum_bipartite_matching(g: Graph, sides: int) -> Matching:

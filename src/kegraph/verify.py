@@ -305,7 +305,10 @@ def _hall_crosscheck_broken(g: Graph, from_set: int, into_set: int) -> bool:
         return holds or (neighborhood(g, viol) & into_set).bit_count() >= viol.bit_count()
     if not holds:
         return True
-    result.validate(g)
+    try:
+        result.validate(g)
+    except ValueError:
+        return True
     return result.saturated & from_set != from_set or not all(
         ((from_set >> u) & (into_set >> v) | (from_set >> v) & (into_set >> u)) & 1
         for u, v in result.edges

@@ -20,6 +20,9 @@ from kegraph import (
     two_coloring,
     vset,
 )
+from kegraph import critical
+from kegraph.graph import bits
+from kegraph.matching import _grow
 from kegraph.oracle import brute_alpha_c, brute_critical_difference
 
 from conftest import critical_sets_of, surplus
@@ -116,6 +119,89 @@ def test_max_critical_set_contract():
         w.hall_matching.validate(g)
         nb = neighborhood(g, w.set)
         assert w.hall_matching.saturated & nb == nb
+
+
+def _from_scratch_witness(g):
+    """Reference greedy: the same scan and decisions, but mu(cover) of the
+    rest is matched from scratch for every probe."""
+    adj = g.adj
+    active = g.full_mask
+    d = d_whole = g.n - critical._cover_mu(adj, active)
+    chosen = 0
+    for v in range(g.n):
+        if not (active >> v) & 1:
+            continue
+        nb = adj[v] & active
+        rest = active & ~nb & ~(1 << v)
+        target = d + nb.bit_count() - 1
+        if target > rest.bit_count():
+            continue
+        d_rest = rest.bit_count() - critical._cover_mu(adj, rest)
+        if d_rest == target:
+            chosen |= 1 << v
+            active = rest
+            d = d_rest
+    return critical._checked_witness(g, chosen, d_whole)
+
+
+def test_repaired_greedy_equals_from_scratch_greedy_small():
+    rng = random.Random(41)
+    for _ in range(2000):
+        g = random_graph(rng, rng.randint(0, 16), rng.random())
+        assert max_critical_independent_set(g) == _from_scratch_witness(g)
+
+
+def test_repaired_greedy_equals_from_scratch_greedy_sparse_n200():
+    rng = random.Random(43)
+    for _ in range(4):
+        g = random_graph(rng, 200, rng.uniform(2.0, 5.0) / 199)
+        assert max_critical_independent_set(g) == _from_scratch_witness(g)
+
+
+def _random_maximum_cover_matching(rng, adj, active):
+    """A maximum matching of the double cover on *active*, seeded by a
+    random greedy pass so it is rarely the one Kuhn's order would give."""
+    mate_l, mate_r = {}, {}
+    order = list(bits(active))
+    rng.shuffle(order)
+    for u in order:
+        free = [w for w in bits(adj[u] & active) if w not in mate_r]
+        if free:
+            w = rng.choice(free)
+            mate_l[u], mate_r[w] = w, u
+    _grow(adj, active, active, mate_l, mate_r)
+    return mate_l, mate_r
+
+
+def _check_repair(adj, active, mate_l, mate_r):
+    loose = critical._loose(adj, active, active, mate_l)
+    for v in bits(active):
+        nb = adj[v] & active
+        rest = active & ~nb & ~(1 << v)
+        new_l, new_r, new_loose = critical._repaired(
+            adj, rest, nb | (1 << v), mate_l, mate_r, loose
+        )
+        assert len(new_l) == critical._cover_mu(adj, rest)
+        assert all(
+            new_r[w] == u and (adj[u] >> w) & 1 and (rest >> u) & (rest >> w) & 1
+            for u, w in new_l.items()
+        ) and len(new_r) == len(new_l)
+        assert new_loose == critical._loose(adj, rest, rest, new_l)
+
+
+def test_repair_from_any_maximum_cover_matching():
+    # Re-augmenting only from the vertices the deletion frees is not enough:
+    # here it ends one pair short of maximum on the probe of vertex 1.
+    adj = (116, 20, 299, 308, 299, 477, 289, 32, 124)
+    mate_l = {7: 5, 1: 2, 4: 0, 5: 4, 0: 6, 2: 1}
+    _check_repair(adj, 0b11110111, mate_l, {w: u for u, w in mate_l.items()})
+    rng = random.Random(47)
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(1, 13), rng.random())
+        active = rng.getrandbits(g.n) | 1 if rng.random() < 0.5 else g.full_mask
+        _check_repair(
+            g.adj, active, *_random_maximum_cover_matching(rng, g.adj, active)
+        )
 
 
 def test_alpha_c_matches_oracle():

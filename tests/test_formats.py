@@ -84,6 +84,49 @@ def test_invalid_body_byte_rejected():
         parse_graph6(b"B>")
 
 
+def test_invalid_body_byte_names_the_first_bad_byte():
+    # n=6: a 3-byte body whose first byte is valid and set.
+    with pytest.raises(InvalidCharError, match="byte 32 "):
+        parse_graph6(b"E_ \x7f")
+
+
+def test_padding_bits_are_ignored():
+    # n=2 has 1 body bit and 5 padding bits; n=3 has 3 and 3.
+    assert parse_graph6("A" + chr(63 + 0b011111)) == generate("empty", 2)
+    assert parse_graph6("A" + chr(63 + 0b111111)) == generate("complete", 2)
+    assert parse_graph6("B" + chr(63 + 0b111111)) == generate("complete", 3)
+
+
+def _graph6_bit_by_bit(g: Graph) -> str:
+    """Reference encoder: one body bit at a time, column by column."""
+    n = g.n
+    if n <= 62:
+        out = [n + 63]
+    else:
+        out = [126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)]
+    acc = nacc = 0
+    for v in range(1, n):
+        for u in range(v):
+            acc = (acc << 1) | int(g.has_edge(u, v))
+            nacc += 1
+            if nacc == 6:
+                out.append(63 + acc)
+                acc = nacc = 0
+    if nacc:
+        out.append(63 + (acc << (6 - nacc)))
+    return bytes(out).decode("ascii")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 1000])
+def test_graph6_bytes_and_roundtrip_at_boundary_sizes(n):
+    rng = random.Random(n)
+    for p in (0.0, 0.01, 0.5, 1.0):
+        g = random_graph(rng, n, p)
+        text = emit_graph6(g)
+        assert text == _graph6_bit_by_bit(g)
+        assert parse_graph6(text) == g
+
+
 def test_n_overflow_gate():
     with pytest.raises(NOverflowError):
         parse_graph6(K3_G6, max_n=2)

@@ -179,6 +179,40 @@ def test_cli_analyze_non_utf8_exit_2(tmp_path):
     assert "can't decode" in out.stderr and "Traceback" not in out.stderr
 
 
+def test_cli_analyze_stdin_non_utf8_exit_2_under_c_locale():
+    out = subprocess.run(
+        RUN + ["analyze", "--format", "edges"], input=b"\xff 1\n",
+        capture_output=True, env=dict(os.environ, LC_ALL="C"),
+    )
+    assert out.returncode == 2
+    assert b"can't decode" in out.stderr and b"Traceback" not in out.stderr
+
+
+def test_cli_closed_stdout_exits_141_quietly():
+    # The pipe has no reader from the start, so the first write fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            RUN + ["analyze", "--fixture", "GF10"], stdout=write_end,
+            stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert out.returncode == 141
+    assert out.stderr == ""
+
+
+def test_cli_analyze_path_2100_without_force(tmp_path):
+    path = tmp_path / "p2100.g6"
+    path.write_text(emit_graph6(generate("path", 2100)) + "\n")
+    out = run_cli("analyze", str(path))
+    assert out.returncode == 3
+    data = json.loads(out.stdout)
+    assert data["gated"] and data["is_ke"]
+    assert data["mu"] == data["alpha_c"] == 1050
+
+
 def test_cli_batch_non_utf8_line_is_a_line_error(tmp_path):
     mixed = tmp_path / "mixed.g6"
     mixed.write_bytes(b"A_\n\xffA\nBw\n")

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from kegraph import Graph, fixture, generate
+from kegraph import Graph, HallViolation, Matching, fixture, generate, verify
 from kegraph.verify import CHECKS, DEFAULT_SEED, minimize, run_check, run_suite
 
 
@@ -11,6 +11,20 @@ from kegraph.verify import CHECKS, DEFAULT_SEED, minimize, run_check, run_suite
 def test_check_clean(check):
     # One item per check of the full scope; the quick checks are among them.
     assert run_check(check, DEFAULT_SEED) is None
+
+
+def test_invalid_hall_matching_is_a_violation(monkeypatch):
+    real = verify.saturating_matching
+
+    def invalid_when_hall_holds(g, from_set, into_set):
+        # (0, 0) is no edge of any graph, so Matching.validate rejects it.
+        result = real(g, from_set, into_set)
+        return result if isinstance(result, HallViolation) else Matching(((0, 0),))
+
+    monkeypatch.setattr(verify, "saturating_matching", invalid_when_hall_holds)
+    check = next(c for c in CHECKS["full"] if c.name == "hall_crosscheck")
+    violation = run_check(check, DEFAULT_SEED)
+    assert violation is not None and violation.check == "hall_crosscheck"
 
 
 def test_run_suite_logs_each_check_with_wall_time():
