@@ -142,6 +142,9 @@ def _batch_one(item: tuple[int, str]) -> tuple[int, str, str, bool | None, bool 
         return lineno, csv_row(report), "", report.is_ke, chain_holds
     except KegraphError as exc:
         return lineno, "", f"line {lineno}: {exc}", None, None
+    except Exception as exc:  # a defect on one line must not end the run
+        detail = f"internal error: {type(exc).__name__}: {exc}"
+        return lineno, "", f"line {lineno}: {detail}", None, None
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:

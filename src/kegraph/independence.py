@@ -2,7 +2,12 @@
 
 The solver is branch-and-bound over bitmasks: branch on a highest-degree
 vertex (ties to the lowest index), prune with a greedy clique-cover upper
-bound, and absorb isolated and degree-one vertices between branchings.
+bound, and absorb isolated and degree-one vertices between branchings. It
+keeps an explicit stack, and it takes a known lower bound (a floor) and an
+early stop, so one routine serves the alpha value and every decision probe.
+The core is found by such probes: each asks for a maximum independent set
+that avoids one candidate, starting from the floor alpha - 1, and each set
+found rules out every candidate outside it.
 Exact answers are practical to roughly n = 60; everything here sits behind
 a size gate that callers may raise explicitly.
 """
@@ -12,7 +17,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .errors import NotIndependentError, TooLargeError, TruncatedOmegaError
-from .graph import Graph, bits, is_independent, neighborhood
+from .graph import Graph, is_independent, neighborhood
 
 __all__ = [
     "DEFAULT_EXACT_LIMIT",
@@ -61,20 +66,25 @@ def _clique_cover_bound(adj: tuple[int, ...], mask: int) -> int:
     return bound
 
 
-def _alpha_value(adj: tuple[int, ...], mask: int, stop_at: int | None = None) -> int:
-    """Maximum independent set size within *mask*.
+def _alpha_value(
+    adj: tuple[int, ...], mask: int, floor: int = 0, stop_at: int | None = None
+) -> tuple[int, int]:
+    """Largest independent set within *mask* that beats *floor*, as
+    ``(size, set)``; ``(floor, 0)`` when no set is larger than *floor*.
 
-    When *stop_at* is given the search returns early with any value >= stop_at;
-    useful for decision questions like "does alpha stay at k after deletion?".
+    When *stop_at* is given the search returns the first set it finds of
+    size >= stop_at, which answers decision questions like "does alpha stay
+    at k after deletion?". The search keeps an explicit stack, so its depth
+    is not bounded by Python's recursion limit.
     """
-    best = 0
-
-    def dfs(m: int, size: int) -> None:
-        nonlocal best
+    best, best_set = floor, 0
+    stack = [(mask, 0, 0)]
+    while stack:
         if stop_at is not None and best >= stop_at:
-            return
+            break
+        m, chosen, size = stack.pop()
         if size + m.bit_count() <= best:
-            return
+            continue
         # Absorb isolated vertices; a degree-one vertex dominates its neighbor.
         scan = m
         while scan:
@@ -85,19 +95,21 @@ def _alpha_value(adj: tuple[int, ...], mask: int, stop_at: int | None = None) ->
             nb = adj[low.bit_length() - 1] & m
             if not nb:
                 m ^= low
+                chosen |= low
                 size += 1
             elif not (nb & (nb - 1)):
                 m &= ~(nb | low)
+                chosen |= low
                 size += 1
                 scan &= m
         if not m:
             if size > best:
-                best = size
-            return
+                best, best_set = size, chosen
+            continue
         if size + m.bit_count() <= best:
-            return
+            continue
         if size + _clique_cover_bound(adj, m) <= best:
-            return
+            continue
         # Branch on a highest-degree vertex, ties to the lowest index.
         pivot, pdeg = -1, -1
         mm = m
@@ -108,11 +120,11 @@ def _alpha_value(adj: tuple[int, ...], mask: int, stop_at: int | None = None) ->
             dv = (adj[v] & m).bit_count()
             if dv > pdeg:
                 pivot, pdeg = v, dv
-        dfs(m & ~(adj[pivot] | (1 << pivot)), size + 1)
-        dfs(m & ~(1 << pivot), size)
-
-    dfs(mask, 0)
-    return best
+        bit = 1 << pivot
+        # Exclude-branch pushed first so the include-branch pops first.
+        stack.append((m & ~bit, chosen, size))
+        stack.append((m & ~(adj[pivot] | bit), chosen | bit, size + 1))
+    return best, best_set
 
 
 def alpha(g: Graph, limit: int | None = DEFAULT_EXACT_LIMIT) -> AlphaResult:
@@ -170,7 +182,7 @@ def enumerate_maximum_independent_sets(
 ) -> OmegaStream:
     """All maximum independent sets, lexicographic, capped at *cap* items."""
     _gate(g.n, limit)
-    value = _alpha_value(g.adj, g.full_mask)
+    value = _alpha_value(g.adj, g.full_mask)[0]
     return OmegaStream(g, cap, value)
 
 
@@ -189,19 +201,58 @@ def collect_omega(
     return sets
 
 
-def core(g: Graph, limit: int | None = DEFAULT_EXACT_LIMIT) -> int:
+def _swappable(adj: tuple[int, ...], mask: int, t: int) -> int:
+    """Members u of the maximum independent set *t* that some w in *mask*
+    outside t has as its only neighbour in t: t - u + w is maximum too, so
+    u lies outside the core."""
+    out = 0
+    rest = mask & ~t
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        nb = adj[low.bit_length() - 1] & t
+        if not nb & (nb - 1):
+            out |= nb
+    return out
+
+
+def core(
+    g: Graph,
+    limit: int | None = DEFAULT_EXACT_LIMIT,
+    *,
+    alpha_result: AlphaResult | None = None,
+) -> int:
     """Intersection of all maximum independent sets.
 
-    Computed as {v : alpha(g - v) < alpha(g)}, probing only the members of one
-    maximum independent set (the core lies inside every one of them), so it
-    works even when the number of maximum independent sets is huge.
+    The core lies inside every maximum independent set, so only the members
+    of one (the alpha witness) are candidates, less those a one-vertex swap
+    removes. A probe of candidate v asks for a maximum independent set that
+    avoids v, seeded with the floor alpha - 1 so it stops at the first one.
+    Every maximum independent set holds the core members found so far, so
+    the probe searches only g - v - N[those members]. A set T found there
+    removes every candidate outside T; finding none puts v in the core. This
+    works even when the number of maximum independent sets is huge. Pass
+    *alpha_result* when ``alpha(g)`` is already known, to skip its search.
     """
-    value, witness = alpha(g, limit)
-    full = g.full_mask
+    if alpha_result is None:
+        alpha_result = alpha(g, limit)
+    else:
+        _gate(g.n, limit)
+    need, candidates = alpha_result
+    adj, full = g.adj, g.full_mask
+    mask = full
     result = 0
-    for v in bits(witness):
-        if _alpha_value(g.adj, full & ~(1 << v), stop_at=value) < value:
-            result |= 1 << v
+    candidates &= ~_swappable(adj, full, candidates)
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        size, found = _alpha_value(adj, mask & ~low, need - 1, stop_at=need)
+        if size == need:
+            candidates &= found & ~_swappable(adj, full, found | result)
+        else:
+            result |= low
+            mask &= ~(adj[low.bit_length() - 1] | low)
+            need -= 1
     return result
 
 
@@ -211,7 +262,7 @@ def is_local_max_independent_set(g: Graph, a: int) -> bool:
         raise NotIndependentError("set is not independent")
     closed = neighborhood(g, a, closed=True)
     size = a.bit_count()
-    return _alpha_value(g.adj, closed, stop_at=size + 1) == size
+    return _alpha_value(g.adj, closed, size, stop_at=size + 1)[0] == size
 
 
 def extends_to_maximum(
@@ -224,6 +275,6 @@ def extends_to_maximum(
     if not is_independent(g, s):
         raise NotIndependentError("set is not independent")
     _gate(g.n, limit)
-    value = _alpha_value(g.adj, g.full_mask)
+    need = _alpha_value(g.adj, g.full_mask)[0] - s.bit_count()
     rest = g.full_mask & ~neighborhood(g, s, closed=True)
-    return _alpha_value(g.adj, rest) + s.bit_count() == value
+    return _alpha_value(g.adj, rest, need - 1, stop_at=need)[0] == need

@@ -184,10 +184,10 @@ def equality_chain_report(
     g: Graph, limit: int | None = DEFAULT_EXACT_LIMIT
 ) -> EqualityChainReport:
     """Evaluate the equality chain; a KE graph failing it is an internal defect."""
-    c = core(g, limit)
-    a = alpha(g, limit).value
+    a = alpha(g, limit)
+    c = core(g, limit, alpha_result=a)
     d, mu, cert = _recognized(g)
-    return chain_from_parts(g, d, c, a, mu, cert.is_ke)
+    return chain_from_parts(g, d, c, a.value, mu, cert.is_ke)
 
 
 @dataclass(frozen=True)

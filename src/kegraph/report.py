@@ -169,7 +169,7 @@ def analyze_graph(
     if exact_ok:
         limit = None if force else exact_limit
         a = alpha(g, limit)
-        c = core(g, limit)
+        c = core(g, limit, alpha_result=a)
         report.alpha = a.value
         report.core = g.labels_of(c)
         report.n_core = g.labels_of(neighborhood(g, c))

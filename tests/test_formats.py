@@ -250,6 +250,14 @@ def test_edge_list_labels_in_first_appearance_order():
     assert g.vset_of(["x"]) == vset([0])
 
 
+def test_edge_list_mixed_numeric_and_label_tokens_are_all_labels():
+    g = parse_edge_list("0 a\n1 a")
+    assert g.labels == ("0", "a", "1")
+    assert g.n == 3 and g.m == 2
+    assert g.has_edge(g.index_of("0"), g.index_of("a"))
+    assert g.has_edge(g.index_of("1"), g.index_of("a"))
+
+
 def test_edge_list_empty_input_is_empty_graph():
     g = parse_edge_list("# nothing\n\n")
     assert g.n == 0 and isinstance(g, Graph)

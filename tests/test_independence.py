@@ -1,8 +1,10 @@
 import random
+import sys
 
 import pytest
 
 from kegraph import (
+    Graph,
     NotIndependentError,
     TooLargeError,
     TruncatedOmegaError,
@@ -12,11 +14,14 @@ from kegraph import (
     enumerate_maximum_independent_sets,
     extends_to_maximum,
     generate,
+    induced_subgraph,
     is_independent,
     is_local_max_independent_set,
+    random_bipartite_graph,
     random_graph,
     vset,
 )
+from kegraph.independence import _alpha_value
 from kegraph.oracle import brute_alpha
 
 
@@ -166,7 +171,72 @@ def test_single_deletion_bounds():
         a = alpha(g).value
         for v in range(g.n):
             sub = g.full_mask & ~(1 << v)
-            from kegraph.independence import _alpha_value
-
-            av = _alpha_value(g.adj, sub)
+            av, _ = _alpha_value(g.adj, sub)
             assert a - 1 <= av <= a
+
+
+def _small_graphs(seed: int, count: int):
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(0, 16)
+        if i % 2:
+            yield random_bipartite_graph(rng, n, rng.random())[0]
+        else:
+            yield random_graph(rng, n, rng.random())
+
+
+def test_core_from_given_alpha_equals_omega_intersection():
+    empty_cores = 0
+    for g in _small_graphs(53, 80):
+        inter = g.full_mask
+        for s in collect_omega(g):
+            inter &= s
+        assert core(g, alpha_result=alpha(g)) == core(g) == inter
+        empty_cores += inter == 0
+    assert 0 < empty_cores < 80
+
+
+def test_search_returns_an_independent_set_of_its_size_inside_the_mask():
+    rng = random.Random(59)
+    for g in _small_graphs(61, 60):
+        mask = g.full_mask & rng.getrandbits(max(g.n, 1))
+        size, found = _alpha_value(g.adj, mask)
+        assert is_independent(g, found)
+        assert found & ~mask == 0
+        assert found.bit_count() == size == brute_alpha(induced_subgraph(g, mask)[0])
+
+
+def test_search_floor_at_or_above_alpha_returns_the_floor():
+    for g in _small_graphs(67, 40):
+        a = alpha(g).value
+        assert _alpha_value(g.adj, g.full_mask, a) == (a, 0)
+        assert _alpha_value(g.adj, g.full_mask, a + 2, stop_at=a + 1) == (a + 2, 0)
+        if a:
+            size, found = _alpha_value(g.adj, g.full_mask, a - 1, stop_at=a)
+            assert size == a == found.bit_count() and is_independent(g, found)
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_deep_search_needs_no_recursion():
+    # 300 disjoint triangles: a recursive search would nest about 300 calls.
+    k = 300
+    triangle = ((0, 1), (1, 2), (0, 2))
+    g = Graph(3 * k, [(3 * t + i, 3 * t + j) for t in range(k) for i, j in triangle])
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        a = alpha(g, limit=None)
+        c = core(g, limit=None, alpha_result=a)
+        local = is_local_max_independent_set(g, a.witness)
+        extends = extends_to_maximum(g, vset([1, 4]), limit=None)
+    finally:
+        sys.setrecursionlimit(old)
+    assert a == (k, vset(range(0, 3 * k, 3)))
+    assert c == 0 and local and extends

@@ -171,6 +171,27 @@ def test_cli_batch_skips_malformed_lines(tmp_path):
     assert "line 2" in out.stderr
 
 
+def test_cli_batch_unexpected_exception_is_a_line_error(tmp_path, monkeypatch, capsys):
+    from kegraph import cli
+
+    real = cli.analyze_graph
+
+    def flaky(g, name="", **kwargs):
+        if name == "Bw":
+            raise RuntimeError("boom")
+        return real(g, name, **kwargs)
+
+    monkeypatch.setattr(cli, "analyze_graph", flaky)
+    path = tmp_path / "three.g6"
+    path.write_text("A_\nBw\nBW\n")
+    assert cli.main(["batch", str(path), "--jobs", "1"]) == 0
+    out, err = capsys.readouterr()
+    lines = out.strip().splitlines()
+    assert [ln.split(",")[0] for ln in lines[1:-1]] == ["A_", "BW"]
+    assert lines[-1].startswith("#summary total=2 ")
+    assert err.strip() == "line 2: internal error: RuntimeError: boom"
+
+
 def test_cli_analyze_non_utf8_exit_2(tmp_path):
     bad = tmp_path / "bad.g6"
     bad.write_bytes(b"\xff\xfe\n")
