@@ -72,7 +72,6 @@ from .independence import (
 )
 from .critical import (
     CriticalWitness,
-    DoubleCover,
     bipartite_double_cover,
     critical_difference,
     hall_certificate,
@@ -88,7 +87,6 @@ from .koenig import (
     StructureChecks,
     characterization_check,
     equality_chain_report,
-    ke_decomposition,
     recognize_ke,
     structure_checks_ke,
 )

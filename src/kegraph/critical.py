@@ -25,7 +25,6 @@ from .graph import Graph, bits, is_independent, neighborhood, vset
 from .matching import HallViolation, Matching, _grow, _kuhn, saturating_matching
 
 __all__ = [
-    "DoubleCover",
     "CriticalWitness",
     "bipartite_double_cover",
     "critical_difference",
@@ -35,26 +34,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DoubleCover:
-    """Bipartite double cover: left copy l_v = v, right copy r_v = n + v,
-    with l_u adjacent to r_v exactly when uv is an edge of the source."""
-
-    graph: Graph
-    source_n: int
-
-    @property
-    def left_mask(self) -> int:
-        return (1 << self.source_n) - 1
-
-    def left(self, v: int) -> int:
-        return v
-
-    def right(self, v: int) -> int:
-        return self.source_n + v
-
-
-def bipartite_double_cover(g: Graph) -> DoubleCover:
+def bipartite_double_cover(g: Graph) -> Graph:
+    """Bipartite double cover: left copy of v is v, right copy is n + v,
+    and u is adjacent to n + v exactly when uv is an edge of *g*."""
     n = g.n
     adj = [0] * (2 * n)
     for v in range(n):
@@ -63,7 +45,7 @@ def bipartite_double_cover(g: Graph) -> DoubleCover:
     labels = None
     if g.labels:
         labels = tuple(f"{s}'" for s in g.labels) + tuple(f"{s}''" for s in g.labels)
-    return DoubleCover(Graph.from_adjacency(adj, labels), n)
+    return Graph.from_adjacency(adj, labels)
 
 
 def _cover_mu(adj: tuple[int, ...], active: int) -> int:

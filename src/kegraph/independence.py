@@ -1,13 +1,18 @@
 """Exact maximum independent sets at desk scale.
 
-The solver is branch-and-bound over bitmasks: branch on a highest-degree
-vertex (ties to the lowest index), prune with a greedy clique-cover upper
-bound, and absorb isolated and degree-one vertices between branchings. It
-keeps an explicit stack, and it takes a known lower bound (a floor) and an
-early stop, so one routine serves the alpha value and every decision probe.
-The core is found by such probes: each asks for a maximum independent set
-that avoids one candidate, starting from the floor alpha - 1, and each set
-found rules out every candidate outside it.
+The one search is branch-and-bound over bitmasks: branch on a
+highest-degree vertex (ties to the lowest index), prune with a greedy
+clique-cover upper bound, and absorb isolated and degree-one vertices
+between branchings. It keeps an explicit stack, and it takes a known lower
+bound (a floor) and an early stop, so one routine serves the alpha value and
+every decision probe. The lexicographic enumeration of all maximum
+independent sets is a walk over such probes: each node carries an
+independent set that completes it, the branch that set covers inherits it,
+and the other branch is kept only if a probe finds a completion of its own.
+Its first set is the lex-least alpha witness. The core is found by probes
+too: each asks for a maximum independent set that avoids one candidate,
+starting from the floor alpha - 1, and each set found rules out every
+candidate outside it.
 Exact answers are practical to roughly n = 60; everything here sits behind
 a size gate that callers may raise explicitly.
 """
@@ -138,41 +143,45 @@ class OmegaStream:
     """Lazy lexicographic enumeration of all maximum independent sets.
 
     Iteration stops after *cap* sets; ``truncated`` reports whether more
-    remained. ``collect()`` exhausts the stream into a list.
+    remained.
     """
 
-    def __init__(self, g: Graph, cap: int, value: int):
+    def __init__(self, g: Graph, cap: int, value: int, witness: int):
         self.alpha = value
         self.cap = cap
         self.truncated = False
         self.count = 0
         self._g = g
+        self._witness = witness
 
     def __iter__(self) -> Iterator[int]:
         adj = self._g.adj
-        target = self.alpha
-        stack = [(self._g.full_mask, 0, 0, False)]
+        # A node still needs *need* more members from *m*; *t* is an
+        # independent set of that size inside *m*, or None until a probe
+        # finds one. A node whose probe falls short holds no maximum set.
+        stack = [(self._g.full_mask, 0, self.alpha, self._witness)]
         while stack:
-            m, chosen, size, expanded = stack.pop()
-            if size == target:
+            m, chosen, need, t = stack.pop()
+            if not need:
                 if self.count >= self.cap:
                     self.truncated = True
                     return
                 self.count += 1
                 yield chosen
                 continue
-            if size + m.bit_count() < target:
-                continue
-            if size + _clique_cover_bound(adj, m) < target:
-                continue
+            if t is None:
+                size, t = _alpha_value(adj, m, need - 1, stop_at=need)
+                if size < need:
+                    continue
             low = m & -m
-            v = low.bit_length() - 1
-            # Exclude-branch pushed first so the include-branch pops first.
-            stack.append((m ^ low, chosen, size, False))
-            stack.append((m & ~(adj[v] | low), chosen | low, size + 1, False))
-
-    def collect(self) -> list[int]:
-        return list(self)
+            inside = t & low
+            # Exclude-branch pushed first so the include-branch pops first;
+            # the branch that t covers inherits it.
+            stack.append((m ^ low, chosen, need, None if inside else t))
+            stack.append((
+                m & ~(adj[low.bit_length() - 1] | low), chosen | low, need - 1,
+                t ^ low if inside else None,
+            ))
 
 
 def enumerate_maximum_independent_sets(
@@ -182,8 +191,8 @@ def enumerate_maximum_independent_sets(
 ) -> OmegaStream:
     """All maximum independent sets, lexicographic, capped at *cap* items."""
     _gate(g.n, limit)
-    value = _alpha_value(g.adj, g.full_mask)[0]
-    return OmegaStream(g, cap, value)
+    value, witness = _alpha_value(g.adj, g.full_mask)
+    return OmegaStream(g, cap, value, witness)
 
 
 def collect_omega(
@@ -193,7 +202,7 @@ def collect_omega(
 ) -> list[int]:
     """Exhaustive list of maximum independent sets; raises if capped."""
     stream = enumerate_maximum_independent_sets(g, cap, limit)
-    sets = stream.collect()
+    sets = list(stream)
     if stream.truncated:
         raise TruncatedOmegaError(
             f"more than {cap} maximum independent sets; raise the cap"

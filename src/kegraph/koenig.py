@@ -19,7 +19,6 @@ from .errors import ContractViolationError, NotKEError
 from .graph import (
     Graph,
     delete_closed_neighborhood,
-    induced_subgraph,
     neighborhood,
 )
 from .independence import (
@@ -39,7 +38,6 @@ __all__ = [
     "CharacterizationRecord",
     "StructureChecks",
     "recognize_ke",
-    "ke_decomposition",
     "equality_chain_report",
     "characterization_check",
     "structure_checks_ke",
@@ -125,18 +123,6 @@ def _recognized(g: Graph) -> tuple[int, int, KECertificate]:
     witness = max_critical_independent_set(g)
     mu = maximum_matching(g).size
     return witness.value, mu, certificate_from_parts(g, witness, mu)
-
-
-def ke_decomposition(g: Graph) -> tuple[int, Graph]:
-    """Split a KE graph into (S, H): S a maximum independent set, H = G - S,
-    with every vertex of H matched into S by the certificate matching."""
-    cert = recognize_ke(g)
-    if not cert.is_ke:
-        w = cert.non_ke_witness
-        raise NotKEError(f"alpha_c={w.alpha_c} < n - mu = {w.n - w.mu}; not KE")
-    s = cert.ke_witness.independent_set
-    h, _ = induced_subgraph(g, g.full_mask & ~s)
-    return s, h
 
 
 @dataclass(frozen=True)

@@ -43,14 +43,6 @@ class Matching:
             m |= (1 << u) | (1 << v)
         return m
 
-    def mate(self, v: int) -> int | None:
-        for a, b in self.edges:
-            if a == v:
-                return b
-            if b == v:
-                return a
-        return None
-
     def validate(self, g: Graph) -> None:
         """Raise ValueError unless this is a valid matching of *g*."""
         seen = 0

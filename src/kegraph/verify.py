@@ -113,9 +113,10 @@ FIXTURE_FACTS = {
 
 
 def _fixture_facts_wrong(g: Graph, facts: tuple) -> bool:
-    c = core(g)
+    a = alpha(g)
+    c = core(g, alpha_result=a)
     got = (
-        g.n, g.m, alpha(g).value, maximum_matching(g).size, critical_difference(g),
+        g.n, g.m, a.value, maximum_matching(g).size, critical_difference(g),
         max_critical_independent_set(g).set.bit_count(), koenig.recognize_ke(g).is_ke,
         set(g.labels_of(c)), set(g.labels_of(neighborhood(g, c))),
     )
@@ -124,9 +125,10 @@ def _fixture_facts_wrong(g: Graph, facts: tuple) -> bool:
 
 def _kn_minus_e_broken(g: Graph, half: int) -> bool:
     """K_2n minus an edge: alpha - mu = 2 - n, core surplus 4 - 2n, d = 0, not KE."""
-    c = core(g)
+    a = alpha(g)
+    c = core(g, alpha_result=a)
     return not (
-        alpha(g).value - maximum_matching(g).size == 2 - half
+        a.value - maximum_matching(g).size == 2 - half
         and c.bit_count() - neighborhood(g, c).bit_count() == 4 - 2 * half
         and critical_difference(g) == 0
         and not koenig.recognize_ke(g).is_ke
@@ -176,9 +178,9 @@ def _bipartite_matchings_disagree(g: Graph) -> bool:
 
 def _double_cover_broken(g: Graph) -> bool:
     cover = bipartite_double_cover(g)
-    if cover.graph.m != 2 * g.m:
+    if cover.m != 2 * g.m:
         return True
-    mu_cover = maximum_bipartite_matching(cover.graph, cover.left_mask).size
+    mu_cover = maximum_bipartite_matching(cover, (1 << g.n) - 1).size
     return critical_difference(g) != g.n - mu_cover
 
 
@@ -248,17 +250,26 @@ def _ke_certificate_invalid(g: Graph) -> bool:
 
 
 def _omega_properties_broken(g: Graph) -> bool:
+    """The Omega stream yields distinct maximum independent sets; when it
+    is not truncated, it yields every one in lexicographic order (checked
+    against brute force within the oracle's gate) and they meet in the core."""
     stream = enumerate_maximum_independent_sets(g, cap=100000)
     a = stream.alpha
-    seen = set()
+    sets = []
     for s in stream:
-        if s in seen or s.bit_count() != a or not is_independent(g, s):
+        if s.bit_count() != a or not is_independent(g, s):
             return True
-        seen.add(s)
+        sets.append(s)
+    if len(set(sets)) != len(sets):
+        return True
     if stream.truncated:
         return False
+    if g.n <= oracle.ORACLE_VERTEX_LIMIT:
+        expected = sorted(oracle.brute_maximum_independent_sets(g), key=lambda s: list(bits(s)))
+        if sets != expected:
+            return True
     inter = g.full_mask
-    for s in seen:
+    for s in sets:
         inter &= s
     return core(g) != inter
 
@@ -321,13 +332,13 @@ def _deficiency_broken(g: Graph) -> bool:
 
 
 def _inequality_chain_broken(g: Graph) -> bool:
-    a = alpha(g).value
+    a = alpha(g)
     mu = maximum_matching(g).size
     d = critical_difference(g)
     ac = max_critical_independent_set(g).set.bit_count()
-    c = core(g)
+    c = core(g, alpha_result=a)
     surplus = c.bit_count() - neighborhood(g, c).bit_count()
-    return not (0 <= d <= ac <= a <= g.n - mu) or d < surplus
+    return not (0 <= d <= ac <= a.value <= g.n - mu) or d < surplus
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +495,7 @@ _TABLE = (
     )),
     Check("independence_oracle", "full", _random_graphs(500, 16), ORACLE_PROBES[1:]),
     Check("omega_properties", "full", _random_graphs(200, 12), (
-        Probe("bad stream element or core mismatch", _omega_properties_broken),
+        Probe("stream not Omega in lex order, or core mismatch", _omega_properties_broken),
     )),
     Check("recognition_consistency", "full", _random_graphs(2000, 10), (
         Probe("predicates disagree", _recognition_inconsistent),

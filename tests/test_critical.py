@@ -29,17 +29,17 @@ from conftest import critical_sets_of, surplus
 
 
 def test_double_cover_of_k2():
-    cover = bipartite_double_cover(generate("complete", 2))
-    g = cover.graph
+    n = 2
+    g = bipartite_double_cover(generate("complete", n))
     assert g.n == 4 and g.m == 2
-    assert g.has_edge(cover.left(0), cover.right(1))
-    assert g.has_edge(cover.left(1), cover.right(0))
-    assert maximum_bipartite_matching(g, cover.left_mask).size == 2
+    # left copy of v is v, right copy is n + v
+    assert g.has_edge(0, n + 1)
+    assert g.has_edge(1, n + 0)
+    assert maximum_bipartite_matching(g, (1 << n) - 1).size == 2
 
 
 def test_double_cover_of_triangle_is_six_cycle():
-    cover = bipartite_double_cover(generate("complete", 3))
-    g = cover.graph
+    g = bipartite_double_cover(generate("complete", 3))
     assert g.n == 6 and g.m == 6
     assert all(g.degree(v) == 2 for v in range(6))
     assert two_coloring(g) is not None
@@ -61,7 +61,7 @@ def test_double_cover_edge_count_random():
     rng = random.Random(13)
     for _ in range(30):
         g = random_graph(rng, rng.randint(0, 15), rng.random())
-        assert bipartite_double_cover(g).graph.m == 2 * g.m
+        assert bipartite_double_cover(g).m == 2 * g.m
 
 
 def test_critical_difference_values(gf10, h3, g2):

@@ -65,6 +65,16 @@ def test_alpha_against_oracle_random():
         assert witness.bit_count() == value
 
 
+def test_alpha_sparse_200_vertices_returns_the_first_omega_set():
+    # The stream reaches its first set by decision probes of the one search;
+    # an exhaustive walk of its own would not finish on a sparse n = 200.
+    g = random_graph(random.Random(2009), 200, 4 / 199)
+    value, witness = alpha(g, limit=None)
+    assert value == 94
+    assert is_independent(g, witness) and witness.bit_count() == 94
+    assert witness == next(iter(enumerate_maximum_independent_sets(g, limit=None)))
+
+
 def test_omega_h1(h1):
     sets = collect_omega(h1)
     assert [h1.labels_of(s) for s in sets] == [["1", "3"], ["1", "4"]]

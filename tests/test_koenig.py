@@ -14,7 +14,6 @@ from kegraph import (
     has_perfect_matching,
     is_critical,
     is_independent,
-    ke_decomposition,
     maximum_matching,
     random_bipartite_graph,
     random_graph,
@@ -72,25 +71,6 @@ def test_ke_witness_is_maximum_independent_set():
             s = cert.ke_witness.independent_set
             assert is_independent(g, s)
             assert s.bit_count() == alpha(g).value
-
-
-def test_ke_decomposition_h1(h1):
-    s, h = ke_decomposition(h1)
-    assert h1.labels_of(s) == ["1", "3"]
-    assert h.n == 2 and h.m == 1  # K2 on {2, 4}
-    assert h.labels == ("2", "4")
-    assert s.bit_count() >= maximum_matching(h1).size == h.n
-
-
-def test_ke_decomposition_c4(c4):
-    s, h = ke_decomposition(c4)
-    assert s == vset([0, 2])
-    assert h.n == 2 and h.m == 0
-
-
-def test_ke_decomposition_rejects_h3(h3):
-    with pytest.raises(NotKEError):
-        ke_decomposition(h3)
 
 
 def test_chain_h1(h1):

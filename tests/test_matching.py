@@ -73,7 +73,7 @@ def test_bipartite_matching_star(k13):
 
 def test_bipartite_matching_double_cover_of_triangle():
     cover = bipartite_double_cover(generate("complete", 3))
-    m = maximum_bipartite_matching(cover.graph, cover.left_mask)
+    m = maximum_bipartite_matching(cover, (1 << 3) - 1)
     assert m.size == 3
 
 
