@@ -5,15 +5,14 @@ in polynomial time through the bipartite double cover: d(G) = n - mu(cover).
 The suite cross-checks this identity against brute force, over independent
 sets and over all subsets alike.
 
-A maximum-cardinality critical independent set is built greedily: a vertex v
-belongs to some critical independent set of H iff
-
-    1 - deg_H(v) + d(H - N_H[v]) = d(H),
-
-and committing such a v reduces the problem to H - N_H[v]. Scanning vertices
-in ascending order makes the output deterministic. Every returned witness is
-re-checked at runtime: independent, attains d(G), and carries a matching of
-N(S) into S saturating N(S).
+A maximum-cardinality critical independent set is built greedily over one
+maximum matching of the double cover: a set lies in some critical independent
+set iff some minimum vertex cover of the cover avoids both copies of each of
+its members, and the minimum covers are the solutions of a 2-SAT read off
+that matching. Each vertex is decided by unit propagation, in ascending
+order, which makes the output deterministic; no matching is recomputed.
+Every returned witness is re-checked at runtime: independent, attains d(G),
+and carries a matching of N(S) into S saturating N(S).
 """
 
 from __future__ import annotations
@@ -80,83 +79,115 @@ class CriticalWitness:
     hall_matching: Matching
 
 
-def max_critical_independent_set(g: Graph) -> CriticalWitness:
+def max_critical_independent_set(
+    g: Graph, matching: Matching | None = None
+) -> CriticalWitness:
     """A maximum-cardinality critical independent set, deterministically.
 
     The empty set is a legal witness (graphs with d = 0 and no positive
     attainer). The runtime contract check cannot be disabled.
 
-    One matching of the double cover is kept across the scan: each probe
-    repairs it on the rest of the graph instead of matching from scratch,
-    and a committed probe keeps the repaired matching.
+    Why it is exact: a set S lies in some critical independent set iff some
+    minimum vertex cover of the double cover B avoids both copies of every
+    member of S. (For a critical I, the complement of I' + I'' + (V - N[I])'
+    is such a cover; conversely J' & J'' is critical for every maximum
+    independent set J of B.) Given a maximum matching M of B, the minimum
+    covers are the solutions of a 2-SAT: no M-exposed vertex is in, exactly
+    one end of each M-edge is in, and every edge is covered. So "x out"
+    forces N(x) in, and "y in" forces mate(y) out. Vertices are scanned in
+    ascending order; v joins when propagating "v' out, v'' out" from the
+    current state meets no conflict. A conflict-free propagation on a
+    satisfiable 2-SAT leaves a satisfiable rest, so no decision is undone,
+    and the result is the lex-least critical independent set, which is
+    also of maximum size.
+
+    *matching*, a matching of *g* (usually its maximum matching), is
+    doubled into B as (u', v'') and (v', u'') and augmented to a maximum
+    one. On a KE graph nothing is left to augment: mu(B) = n - d, and
+    d = n - 2 mu(g) on KE graphs (item (i) of the paper), so mu(B) = 2 mu(g).
     """
+    n = g.n
     adj = g.adj
-    active = g.full_mask
-    mate_l, mate_r = _kuhn(adj, active, active)
-    loose = _loose(adj, active, active, mate_l)
-    d = d_whole = g.n - len(mate_l)
+    full = g.full_mask
+    mate_l: dict[int, int] = {}
+    mate_r: dict[int, int] = {}
+    if matching is not None:
+        for u, v in matching.edges:
+            mate_l[u] = mate_r[u] = v
+            mate_l[v] = mate_r[v] = u
+    _grow(adj, full, full, mate_l, mate_r)
+    state = _propagate(
+        adj, mate_l, mate_r, (0, 0, 0, 0),
+        full & ~vset(mate_l), full & ~vset(mate_r),
+    )
+    if state is None:
+        raise ConstructionFailedError("the exposed cover vertices do not propagate")
     chosen = 0
-    for v in range(g.n):
-        if not (active >> v) & 1:
-            continue
+    for v in range(n):
         bit = 1 << v
-        nb = adj[v] & active
-        deg = nb.bit_count()
-        rest = active & ~nb & ~bit
-        target = d + deg - 1
-        n_rest = rest.bit_count()
-        if target > n_rest:
+        in_l, in_r, out_l, out_r = state
+        if (in_l | in_r) & bit:
             continue
-        probe = _repaired(adj, rest, nb | bit, mate_l, mate_r, loose)
-        d_rest = n_rest - len(probe[0])
-        if d_rest == target:
+        if out_l & out_r & bit:
             chosen |= bit
-            active = rest
-            d = d_rest
-            mate_l, mate_r, loose = probe
-    return _checked_witness(g, chosen, d_whole)
+            continue
+        probe = _propagate(adj, mate_l, mate_r, state, bit & ~out_l, bit & ~out_r)
+        if probe is not None:
+            chosen |= bit
+            state = probe
+    return _checked_witness(g, chosen, n - len(mate_l))
 
 
-def _repaired(
+def _propagate(
     adj: tuple[int, ...],
-    rest: int,
-    gone: int,
     mate_l: dict[int, int],
     mate_r: dict[int, int],
-    loose: int,
-) -> tuple[dict[int, int], dict[int, int], int]:
-    """Maximum cover matching on *rest*, from a maximum one on rest | gone
-    whose exposed left vertices with a neighbour are *loose*.
+    state: tuple[int, int, int, int],
+    new_l: int,
+    new_r: int,
+) -> tuple[int, int, int, int] | None:
+    """Unit propagation in the 2-SAT of the double cover's minimum covers.
 
-    The pairs that touch *gone* are dropped, and Kuhn's method runs from
-    the left vertices they free, then from the loose ones; the inputs are
-    not modified. Roots on the left suffice: every augmenting path has an
-    exposed left end, and an isolated vertex ends none. Returns (mate of
-    left, mate of right, loose left vertices).
+    *state* is (in left, in right, out left, out right) as masks over the
+    source vertices; *new_l* and *new_r* are set out. Returns the extended
+    state, or None on a conflict. Every exposed vertex must already be out,
+    so a vertex forced in always has a mate.
     """
-    mate_l = mate_l.copy()
-    mate_r = mate_r.copy()
-    freed = 0
-    for x in bits(gone):
-        w = mate_l.pop(x, None)
-        if w is not None:
-            del mate_r[w]
-        u = mate_r.pop(x, None)
-        if u is not None:
-            del mate_l[u]
-            freed |= (1 << u) & rest
-    # Freed roots first: their searches mostly succeed, and the loose
-    # roots' searches, which mostly fail, then share one dead mask.
-    loose &= rest
-    _grow(adj, freed, rest, mate_l, mate_r)
-    _grow(adj, loose, rest, mate_l, mate_r)
-    return mate_l, mate_r, _loose(adj, freed | loose, rest, mate_l)
-
-
-def _loose(adj: tuple[int, ...], roots: int, rest: int, mate_l: dict[int, int]) -> int:
-    """The vertices of *roots* that *mate_l* leaves exposed and that keep a
-    neighbour in *rest*."""
-    return vset(u for u in bits(roots) if u not in mate_l and adj[u] & rest)
+    in_l, in_r, out_l, out_r = state
+    while new_l or new_r:
+        if new_l & in_l or new_r & in_r:
+            return None
+        out_l |= new_l
+        out_r |= new_r
+        # Out on one side forces its neighbours on the other side in.
+        force_r = 0
+        while new_l:
+            low = new_l & -new_l
+            force_r |= adj[low.bit_length() - 1]
+            new_l ^= low
+        force_l = 0
+        while new_r:
+            low = new_r & -new_r
+            force_l |= adj[low.bit_length() - 1]
+            new_r ^= low
+        force_r &= ~in_r
+        force_l &= ~in_l
+        if force_r & out_r or force_l & out_l:
+            return None
+        in_r |= force_r
+        in_l |= force_l
+        # In forces its mate out.
+        while force_r:
+            low = force_r & -force_r
+            new_l |= 1 << mate_r[low.bit_length() - 1]
+            force_r ^= low
+        while force_l:
+            low = force_l & -force_l
+            new_r |= 1 << mate_l[low.bit_length() - 1]
+            force_l ^= low
+        new_l &= ~out_l
+        new_r &= ~out_r
+    return in_l, in_r, out_l, out_r
 
 
 def _checked_witness(g: Graph, chosen: int, d: int) -> CriticalWitness:

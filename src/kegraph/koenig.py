@@ -82,10 +82,11 @@ def recognize_ke(
     maximum independent set (necessarily non-critical); that path needs the
     exact solver and respects its size gate.
     """
+    matching = maximum_matching(g)
     return certificate_from_parts(
         g,
-        max_critical_independent_set(g),
-        maximum_matching(g).size,
+        max_critical_independent_set(g, matching),
+        matching.size,
         with_mis_witness=with_mis_witness,
         limit=limit,
     )
@@ -120,8 +121,9 @@ def certificate_from_parts(
 def _recognized(g: Graph) -> tuple[int, int, KECertificate]:
     """d, mu and the KE certificate, from one critical witness and one
     maximum matching."""
-    witness = max_critical_independent_set(g)
-    mu = maximum_matching(g).size
+    matching = maximum_matching(g)
+    mu = matching.size
+    witness = max_critical_independent_set(g, matching)
     return witness.value, mu, certificate_from_parts(g, witness, mu)
 
 

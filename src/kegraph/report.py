@@ -135,7 +135,7 @@ def analyze_graph(
     t0 = time.perf_counter()
     mu_matching = maximum_matching(g)
     mu = mu_matching.size
-    witness = max_critical_independent_set(g)
+    witness = max_critical_independent_set(g, mu_matching)
     d = witness.value
     cert = koenig.certificate_from_parts(g, witness, mu)
 

@@ -152,9 +152,12 @@ def _d_oracle_broken(g: Graph) -> bool:
 
 
 def _alpha_c_oracle_broken(g: Graph) -> bool:
-    return bool(
-        oracle.disagreements(g, alpha_c=max_critical_independent_set(g).set.bit_count())
-    )
+    """Size and set: the witness must be the oracle's lex-least one, which
+    pins the ascending greedy's determinism contract."""
+    if g.n > oracle.ORACLE_VERTEX_LIMIT:
+        return False
+    w = max_critical_independent_set(g)
+    return (w.set.bit_count(), w.set) != oracle.brute_alpha_c(g)
 
 
 def _core_oracle_broken(g: Graph) -> bool:

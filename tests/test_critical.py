@@ -15,14 +15,15 @@ from kegraph import (
     is_local_max_independent_set,
     max_critical_independent_set,
     maximum_bipartite_matching,
+    maximum_matching,
     neighborhood,
+    random_bipartite_graph,
     random_graph,
+    recognize_ke,
     two_coloring,
     vset,
 )
 from kegraph import critical
-from kegraph.graph import bits
-from kegraph.matching import _grow
 from kegraph.oracle import brute_alpha_c, brute_critical_difference
 
 from conftest import critical_sets_of, surplus
@@ -144,64 +145,64 @@ def _from_scratch_witness(g):
     return critical._checked_witness(g, chosen, d_whole)
 
 
-def test_repaired_greedy_equals_from_scratch_greedy_small():
+def test_greedy_equals_from_scratch_greedy_small():
     rng = random.Random(41)
     for _ in range(2000):
         g = random_graph(rng, rng.randint(0, 16), rng.random())
         assert max_critical_independent_set(g) == _from_scratch_witness(g)
 
 
-def test_repaired_greedy_equals_from_scratch_greedy_sparse_n200():
+def test_greedy_equals_from_scratch_greedy_sparse_n200():
     rng = random.Random(43)
     for _ in range(4):
         g = random_graph(rng, 200, rng.uniform(2.0, 5.0) / 199)
         assert max_critical_independent_set(g) == _from_scratch_witness(g)
 
 
-def _random_maximum_cover_matching(rng, adj, active):
-    """A maximum matching of the double cover on *active*, seeded by a
-    random greedy pass so it is rarely the one Kuhn's order would give."""
-    mate_l, mate_r = {}, {}
-    order = list(bits(active))
-    rng.shuffle(order)
-    for u in order:
-        free = [w for w in bits(adj[u] & active) if w not in mate_r]
-        if free:
-            w = rng.choice(free)
-            mate_l[u], mate_r[w] = w, u
-    _grow(adj, active, active, mate_l, mate_r)
-    return mate_l, mate_r
+def _greedy_matching(g):
+    """A maximal matching from one ascending pass: rarely maximum."""
+    used = 0
+    edges = []
+    for u, v in g.edges():
+        if not (used >> u) & 1 and not (used >> v) & 1:
+            used |= (1 << u) | (1 << v)
+            edges.append((u, v))
+    return Matching(tuple(edges))
 
 
-def _check_repair(adj, active, mate_l, mate_r):
-    loose = critical._loose(adj, active, active, mate_l)
-    for v in bits(active):
-        nb = adj[v] & active
-        rest = active & ~nb & ~(1 << v)
-        new_l, new_r, new_loose = critical._repaired(
-            adj, rest, nb | (1 << v), mate_l, mate_r, loose
-        )
-        assert len(new_l) == critical._cover_mu(adj, rest)
-        assert all(
-            new_r[w] == u and (adj[u] >> w) & 1 and (rest >> u) & (rest >> w) & 1
-            for u, w in new_l.items()
-        ) and len(new_r) == len(new_l)
-        assert new_loose == critical._loose(adj, rest, rest, new_l)
+def test_witness_independent_of_seed_matching():
+    rng = random.Random(59)
+    partial = 0
+    for i in range(500):
+        if i % 2:
+            g = random_bipartite_graph(rng, rng.randint(0, 16), rng.random())[0]
+        else:
+            g = random_graph(rng, rng.randint(0, 16), rng.random())
+        w = max_critical_independent_set(g)
+        seeds = [maximum_matching(g), _greedy_matching(g)]
+        partial += seeds[1].size < seeds[0].size
+        sides = two_coloring(g)
+        if sides is not None:
+            seeds.append(maximum_bipartite_matching(g, sides))
+        for m in seeds:
+            assert max_critical_independent_set(g, m) == w
+    assert partial >= 20
 
 
-def test_repair_from_any_maximum_cover_matching():
-    # Re-augmenting only from the vertices the deletion frees is not enough:
-    # here it ends one pair short of maximum on the probe of vertex 1.
-    adj = (116, 20, 299, 308, 299, 477, 289, 32, 124)
-    mate_l = {7: 5, 1: 2, 4: 0, 5: 4, 0: 6, 2: 1}
-    _check_repair(adj, 0b11110111, mate_l, {w: u for u, w in mate_l.items()})
-    rng = random.Random(47)
-    for _ in range(400):
-        g = random_graph(rng, rng.randint(1, 13), rng.random())
-        active = rng.getrandbits(g.n) | 1 if rng.random() < 0.5 else g.full_mask
-        _check_repair(
-            g.adj, active, *_random_maximum_cover_matching(rng, g.adj, active)
-        )
+def test_doubled_matching_is_maximum_on_ke_graphs():
+    # Paper item (i): d = n - 2 mu on KE graphs, and d = n - mu(cover), so
+    # the blossom matching doubled into the cover is already maximum.
+    rng = random.Random(61)
+    ke = 0
+    for i in range(600):
+        if i % 2:
+            g = random_bipartite_graph(rng, rng.randint(0, 16), rng.random())[0]
+        else:
+            g = random_graph(rng, rng.randint(0, 12), rng.random())
+        if recognize_ke(g).is_ke:
+            ke += 1
+            assert critical._cover_mu(g.adj, g.full_mask) == 2 * maximum_matching(g).size
+    assert ke >= 300
 
 
 def test_alpha_c_matches_oracle():
