@@ -11,8 +11,11 @@ set iff some minimum vertex cover of the cover avoids both copies of each of
 its members, and the minimum covers are the solutions of a 2-SAT read off
 that matching. Each vertex is decided by unit propagation, in ascending
 order, which makes the output deterministic; no matching is recomputed.
-Every returned witness is re-checked at runtime: independent, attains d(G),
-and carries a matching of N(S) into S saturating N(S).
+When the cover matching is perfect and one reachability test shows that
+every probe would conflict (the positive-surplus case, alpha_c = 0), the
+empty set is returned without the scan. Every returned witness is
+re-checked at runtime: independent, attains d(G), and carries a matching of
+N(S) into S saturating N(S).
 """
 
 from __future__ import annotations
@@ -106,16 +109,61 @@ def max_critical_independent_set(
     one. On a KE graph nothing is left to augment: mu(B) = n - d, and
     d = n - 2 mu(g) on KE graphs (item (i) of the paper), so mu(B) = 2 mu(g).
     """
-    n = g.n
-    adj = g.adj
-    full = g.full_mask
+    mate_l, mate_r = _cover_matching(g, matching)
+    if _alpha_c_zero(g.adj, mate_l, mate_r):
+        return _checked_witness(g, 0, 0)
+    return _checked_witness(g, _scan(g.adj, mate_l, mate_r), g.n - len(mate_l))
+
+
+def _cover_matching(
+    g: Graph, matching: Matching | None
+) -> tuple[dict[int, int], dict[int, int]]:
+    """A maximum matching of the double cover, as (left, right) mate maps over
+    the source vertices: *matching* doubled, then completed by one _grow."""
     mate_l: dict[int, int] = {}
     mate_r: dict[int, int] = {}
     if matching is not None:
         for u, v in matching.edges:
             mate_l[u] = mate_r[u] = v
             mate_l[v] = mate_r[v] = u
-    _grow(adj, full, full, mate_l, mate_r)
+    _grow(g.adj, g.full_mask, g.full_mask, mate_l, mate_r)
+    return mate_l, mate_r
+
+
+def _alpha_c_zero(
+    adj: tuple[int, ...], mate_l: dict[int, int], mate_r: dict[int, int]
+) -> bool:
+    """True when every probe of the scan conflicts, so its set is empty.
+
+    That holds if the cover matching is perfect and the digraph
+    x -> mate_r(y), y in N(x), on the left copies is strongly connected. No
+    vertex is then exposed, every probe starts from the empty state, and
+    "v' out" puts every left copy out, so every right copy in, v'' too.
+    Reachability from 0 is walked as the same digraph on the right copies,
+    y -> N(mate_r(y)), from mate_l(0); reachability to 0 steps x <- N(mate_l(x)).
+    """
+    n = len(adj)
+    if not n or len(mate_l) < n:
+        return False
+    for start, mate in ((mate_l[0], mate_r), (0, mate_l)):
+        seen = new = 1 << start
+        while new:
+            step = 0
+            while new:
+                low = new & -new
+                step |= adj[mate[low.bit_length() - 1]]
+                new ^= low
+            new = step & ~seen
+            seen |= new
+        if seen != (1 << n) - 1:
+            return False
+    return True
+
+
+def _scan(adj: tuple[int, ...], mate_l: dict[int, int], mate_r: dict[int, int]) -> int:
+    """The greedy: every exposed cover vertex out, then each vertex in
+    ascending order joins when "v' out, v'' out" propagates without conflict."""
+    full = (1 << len(adj)) - 1
     state = _propagate(
         adj, mate_l, mate_r, (0, 0, 0, 0),
         full & ~vset(mate_l), full & ~vset(mate_r),
@@ -123,7 +171,7 @@ def max_critical_independent_set(
     if state is None:
         raise ConstructionFailedError("the exposed cover vertices do not propagate")
     chosen = 0
-    for v in range(n):
+    for v in range(len(adj)):
         bit = 1 << v
         in_l, in_r, out_l, out_r = state
         if (in_l | in_r) & bit:
@@ -135,7 +183,7 @@ def max_critical_independent_set(
         if probe is not None:
             chosen |= bit
             state = probe
-    return _checked_witness(g, chosen, n - len(mate_l))
+    return chosen
 
 
 def _propagate(

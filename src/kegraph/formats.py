@@ -5,6 +5,11 @@ graph6 layout: an optional ``>>graph6<<`` header, a vertex count N(n)
 n <= 258047, else ``126 126`` plus 6 bytes holding 36 bits; 6 bits per byte,
 each offset by 63), then the upper-triangle adjacency bits
 x(0,1), x(0,2), x(1,2), x(0,3), ... packed 6 per byte, zero-padded.
+
+A body is decoded one of two ways, chosen by its density. When fewer than a
+quarter of its bytes are ``?`` (no bits set), it is expanded to a bit string
+whose columns are read and transposed as strings; otherwise only its nonzero
+bytes are visited, edge by edge.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ DEFAULT_MAX_N = 10**6
 _BODY_BYTES = bytes(range(63, 127))
 _DIGIT_BYTES = bytes((b + 63) % 256 for b in range(256))
 _SET_BYTES = re.compile(rb"[^?]")
+# The 6 bits of each body byte as a string, first bit first.
+_BIT_STRINGS = tuple(format((b - 63) % 64, "06b") for b in range(256))
 
 
 def parse_graph6(data: bytes | str, max_n: int = DEFAULT_MAX_N) -> Graph:
@@ -68,6 +75,27 @@ def parse_graph6(data: bytes | str, max_n: int = DEFAULT_MAX_N) -> Graph:
     if bad:
         raise InvalidCharError(f"byte {bad[0]} outside graph6 range 63..126")
 
+    if 4 * body.count(b"?") < len(body):
+        adj = _dense_masks(body, n)
+    else:
+        adj = _sparse_masks(body, n, nbits)
+    return Graph.from_adjacency(adj)
+
+
+def _dense_masks(body: bytes, n: int) -> list[int]:
+    """Neighbour masks by columns: column v of the body's bit string, bits
+    v(v-1)/2 .. v(v+1)/2 - 1, holds x(0, v) .. x(v - 1, v). Padding bits
+    lie past the last column and are never read."""
+    s = "".join(map(_BIT_STRINGS.__getitem__, body))
+    cols = [s[v * (v - 1) // 2:v * (v + 1) // 2] for v in range(n)]
+    # Below v: column v read backwards. Above u: entry u of every column,
+    # zero-padded to n, read from column n - 1 down.
+    upper = zip(*[c.ljust(n, "0") for c in reversed(cols)])
+    return [int(c[::-1] or "0", 2) | int("".join(r), 2) for c, r in zip(cols, upper)]
+
+
+def _sparse_masks(body: bytes, n: int, nbits: int) -> list[int]:
+    """Neighbour masks edge by edge, visiting only the nonzero body bytes."""
     adj = [0] * n
     for hit in _SET_BYTES.finditer(body):
         i = hit.start()
@@ -82,7 +110,7 @@ def parse_graph6(data: bytes | str, max_n: int = DEFAULT_MAX_N) -> Graph:
             u = k - v * (v - 1) // 2
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-    return Graph.from_adjacency(adj)
+    return adj
 
 
 def _read_n(raw: bytes, max_n: int) -> tuple[int, int]:

@@ -88,19 +88,29 @@ class Graph:
     def from_adjacency(
         cls, adj: list[int] | tuple[int, ...], labels: tuple[str, ...] | None = None
     ) -> Graph:
-        """Wrap precomputed neighbor masks, validating symmetry and looplessness."""
+        """Wrap precomputed neighbor masks, validating symmetry and looplessness.
+
+        Above n²/8 total degree, symmetry is decided by one transpose of the
+        rows as bit strings; the per-edge loop runs on sparser input, and on
+        input the transpose finds asymmetric, to name the first bad pair.
+        """
         n = len(adj)
-        full = (1 << n) - 1
         for v, m in enumerate(adj):
             if m >> n:
                 raise UnknownVertexError(f"adjacency of {v} exceeds 0..{n - 1}")
             if (m >> v) & 1:
                 raise SelfLoopError(f"self-loop at vertex {v}")
-        for v in range(n):
-            m = adj[v] & full
-            for u in bits(m):
-                if not (adj[u] >> v) & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        symmetric = False
+        if 8 * sum(m.bit_count() for m in adj) > n * n:
+            # rows[i][j] is bit n-1-j of adj[n-1-i]: the 0/1 matrix with both
+            # indices reversed, which is symmetric iff the matrix is.
+            rows = [format(m, f"0{n}b") for m in reversed(adj)]
+            symmetric = ["".join(col) for col in zip(*rows)] == rows
+        if not symmetric:
+            for v in range(n):
+                for u in bits(adj[v]):
+                    if not (adj[u] >> v) & 1:
+                        raise ValueError(f"asymmetric adjacency between {u} and {v}")
         g = cls.__new__(cls)
         g.n = n
         g.adj = tuple(adj)

@@ -19,6 +19,9 @@ from typing import Callable, Iterator, NamedTuple
 
 from . import koenig, oracle
 from .critical import (
+    _alpha_c_zero,
+    _cover_matching,
+    _scan,
     bipartite_double_cover,
     critical_difference,
     hall_certificate,
@@ -301,6 +304,13 @@ def _critical_family_broken(g: Graph) -> bool:
     return False
 
 
+def _critical_shortcut_broken(g: Graph) -> bool:
+    """The one-shot alpha_c = 0 test fires, but the full scan from the same
+    cover matching takes a vertex."""
+    mate_l, mate_r = _cover_matching(g, maximum_matching(g))
+    return _alpha_c_zero(g.adj, mate_l, mate_r) and _scan(g.adj, mate_l, mate_r) != 0
+
+
 def _local_max_not_extending(g: Graph, s: int) -> bool:
     """A local maximum independent set *s* that extends to no maximum one."""
     return is_local_max_independent_set(g, s) and not extends_to_maximum(g, s)
@@ -399,6 +409,24 @@ def _ke_pool(rng: random.Random) -> Iterator[tuple]:
         _random_graphs(300, 24, bipartite=True)(rng),
         _random_graphs(500, 10)(rng),
     )
+
+
+def _shortcut_pool(rng: random.Random) -> Iterator[tuple]:
+    """300 samples from G(n, p), n in 2..50, p in {0.3, 0.5, 0.8}: in turn one
+    graph alone ("dense"), one with isolated vertices added, and two side by side."""
+
+    def draw() -> Graph:
+        return random_graph(rng, rng.randint(2, 50), rng.choice((0.3, 0.5, 0.8)))
+
+    for i in range(300):
+        g = draw()
+        if i % 3 == 0:
+            yield "dense", g
+        elif i % 3 == 1:
+            yield "isolated", Graph.from_adjacency(g.adj + (0,) * rng.randint(1, 3))
+        else:
+            h = draw()
+            yield "union", Graph.from_adjacency(g.adj + tuple(m << g.n for m in h.adj))
 
 
 def _local_max_pool(rng: random.Random) -> Iterator[tuple]:
@@ -512,6 +540,9 @@ _TABLE = (
     )),
     Check("critical_family", "full", _random_graphs(150, 10), (
         Probe("critical set fails local-max/extension/Hall", _critical_family_broken),
+    )),
+    Check("critical_shortcut", "full", _shortcut_pool, (
+        Probe("alpha_c = 0 test fires on a nonempty scan", _critical_shortcut_broken),
     )),
     Check("local_max_extension", "full", _local_max_pool, (
         Probe("local maximum fails to extend", _local_max_not_extending, shrink=False),

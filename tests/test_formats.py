@@ -21,6 +21,7 @@ from kegraph import (
     random_graph,
     vset,
 )
+from kegraph import formats
 
 # Hand-encoded reference records: one byte n+63, then the upper-triangle
 # bits x(0,1), x(0,2), x(1,2), ... packed 6 per byte, each byte offset 63.
@@ -95,6 +96,42 @@ def test_padding_bits_are_ignored():
     assert parse_graph6("A" + chr(63 + 0b011111)) == generate("empty", 2)
     assert parse_graph6("A" + chr(63 + 0b111111)) == generate("complete", 2)
     assert parse_graph6("B" + chr(63 + 0b111111)) == generate("complete", 3)
+    # n=50 has 1225 body bits and 5 padding bits, read by the dense decoder.
+    g = random_graph(random.Random(50), 50, 0.5)
+    text = emit_graph6(g)
+    padded = text[:-1] + chr(63 + ((ord(text[-1]) - 63) | 0b11111))
+    assert padded != text and parse_graph6(padded) == g
+
+
+def test_dense_body_errors_name_the_first_bad_byte_and_the_length():
+    # n=50: one head byte and a 205-byte body that the dense decoder reads.
+    raw = emit_graph6(random_graph(random.Random(50), 50, 0.5)).encode("ascii")
+    head, body = raw[:1], raw[1:]
+    bad = body[:100] + b" " + body[101:150] + b"\x7f" + body[151:]
+    with pytest.raises(InvalidCharError, match="byte 32 "):
+        parse_graph6(head + bad)
+    with pytest.raises(TruncatedError, match="has 204 bytes, needs 205 for n=50"):
+        parse_graph6(head + body[:-1])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 62, 63, 64, 200, 1000])
+def test_dense_and_sparse_decoders_agree(n, monkeypatch):
+    dense, sparse = formats._dense_masks, formats._sparse_masks
+    taken = []
+    monkeypatch.setattr(formats, "_dense_masks", lambda *a: taken.append("dense") or dense(*a))
+    monkeypatch.setattr(formats, "_sparse_masks", lambda *a: taken.append("sparse") or sparse(*a))
+    rng = random.Random(n)
+    for p in (0.02, 0.5, 0.9):
+        g = random_graph(rng, n, p)
+        text = emit_graph6(g)
+        body = text[1 if n <= 62 else 4:].encode("ascii")
+        assert dense(body, n) == sparse(body, n, n * (n - 1) // 2) == list(g.adj)
+        taken.clear()
+        assert parse_graph6(text) == g
+        if n < 2 or p == 0.02:
+            assert taken == ["sparse"]
+        elif p == 0.9:
+            assert taken == ["dense"]
 
 
 def _graph6_bit_by_bit(g: Graph) -> str:

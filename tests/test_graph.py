@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from kegraph import (
     Graph,
     SelfLoopError,
     UnknownVertexError,
+    bipartite_double_cover,
     bits,
     delete_closed_neighborhood,
     fixture,
@@ -12,6 +15,7 @@ from kegraph import (
     is_independent,
     lex_less,
     neighborhood,
+    random_graph,
     two_coloring,
     vset,
 )
@@ -43,6 +47,31 @@ def test_constructor_rejects_out_of_range():
 def test_from_adjacency_rejects_asymmetry():
     with pytest.raises(ValueError):
         Graph.from_adjacency([0b010, 0b000, 0b000])
+
+
+@pytest.mark.parametrize("n, p", [(50, 0.5), (50, 0.04)])
+def test_from_adjacency_names_the_asymmetric_pair(n, p):
+    # Dense input is checked by a transpose first, sparse input edge by edge;
+    # both name the pair the edge-by-edge loop meets first.
+    g = random_graph(random.Random(11), n, p)
+    assert (8 * 2 * g.m > n * n) == (p == 0.5)
+    u, v = next(g.edges())
+    adj = list(g.adj)
+    adj[u] ^= 1 << v
+    with pytest.raises(ValueError, match=f"^asymmetric adjacency between {u} and {v}$"):
+        Graph.from_adjacency(adj)
+    adj = list(g.adj)
+    adj[v] ^= 1 << u
+    with pytest.raises(ValueError, match=f"^asymmetric adjacency between {v} and {u}$"):
+        Graph.from_adjacency(adj)
+    assert Graph.from_adjacency(g.adj) == g
+
+
+def test_double_cover_of_a_dense_graph():
+    g = random_graph(random.Random(7), 50, 0.5)
+    n = g.n
+    edges = [e for u, v in g.edges() for e in ((u, n + v), (v, n + u))]
+    assert bipartite_double_cover(g) == Graph(2 * n, edges)
 
 
 def test_adjacency_is_symmetric_and_loopless():

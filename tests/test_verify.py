@@ -93,3 +93,18 @@ def test_violation_predicates_pass_on_healthy_graphs():
         assert not _alpha_c_oracle_broken(g)
         assert not _ke_chain_broken(g)
         assert not _recognition_inconsistent(g)
+
+
+def test_critical_shortcut_row_fires_on_most_dense_members():
+    # The row only probes graphs on which the alpha_c = 0 test fires, so it
+    # must fire often enough for the row to mean something.
+    from kegraph.critical import _alpha_c_zero, _cover_matching
+    from kegraph import maximum_matching
+
+    check = next(c for c in CHECKS["full"] if c.name == "critical_shortcut")
+    samples = check.pool(random.Random(f"{DEFAULT_SEED}:{check.name}"))
+    dense = [g for tag, g in samples if tag == "dense"]
+    fired = sum(
+        _alpha_c_zero(g.adj, *_cover_matching(g, maximum_matching(g))) for g in dense
+    )
+    assert dense and 2 * fired >= len(dense)
