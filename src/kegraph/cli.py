@@ -9,6 +9,7 @@ before all output was written (as `kegraph analyze ... | head -5` does;
 from __future__ import annotations
 
 import argparse
+import functools
 import multiprocessing
 import os
 import sys
@@ -32,7 +33,10 @@ def _env_seed() -> int:
         return DEFAULT_SEED
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (a build takes over a
+    millisecond); parsing keeps no state in it from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="kegraph",
         description=(

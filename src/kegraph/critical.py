@@ -16,6 +16,13 @@ every probe would conflict (the positive-surplus case, alpha_c = 0), the
 empty set is returned without the scan. Every returned witness is
 re-checked at runtime: independent, attains d(G), and carries a matching of
 N(S) into S saturating N(S).
+
+On a Konig-Egervary graph the same propagator, run on G itself with its
+maximum matching, solves the 2-SAT of G's minimum vertex covers, whose
+complements are the maximum independent sets. Every maximum independent
+set of a KE graph is critical (item (ii) of the paper), so the witness is
+then the lex-least maximum independent set, and ``ke_core`` reads the core
+off that 2-SAT as its backbone; no branch-and-bound runs on KE graphs.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from dataclasses import dataclass
 
 from .errors import ConstructionFailedError, NotCriticalError
 from .graph import Graph, bits, is_independent, neighborhood, vset
+from .independence import _swappable
 from .matching import HallViolation, Matching, _grow, _kuhn, saturating_matching
 
 __all__ = [
@@ -31,6 +39,7 @@ __all__ = [
     "bipartite_double_cover",
     "critical_difference",
     "is_critical",
+    "ke_core",
     "max_critical_independent_set",
     "hall_certificate",
 ]
@@ -184,6 +193,52 @@ def _scan(adj: tuple[int, ...], mate_l: dict[int, int], mate_r: dict[int, int]) 
             chosen |= bit
             state = probe
     return chosen
+
+
+def ke_core(g: Graph, matching: Matching, witness: int) -> int:
+    """Core of a KE graph: the intersection of its maximum independent sets.
+
+    *matching* is a maximum matching of *g* and *witness* one maximum
+    independent set (the critical witness). On a KE graph tau = mu, so the
+    minimum vertex covers are the complements of the maximum independent
+    sets, and they are the solutions of a 2-SAT: exposed vertices out, one
+    end of each matching edge in, every edge covered. ``_propagate`` solves
+    it when given the matching as the mate map of both sides and the same
+    mask for both: a symmetric start stays symmetric under every rule. The
+    core is its backbone, the vertices out of every solution.
+
+    Only members of *witness* can be in the core, less those a one-vertex
+    swap removes. An exposed candidate is in it. For a matched candidate v,
+    "v in" is "mate(v) out": a conflict puts v in the core, and "v out" is
+    committed; a conflict-free probe extends to a minimum cover, so every
+    candidate it forces in lies outside some maximum independent set and
+    is dropped. *g* must be KE: on other graphs the minimum covers are
+    larger than mu, and the result need not be the core.
+    """
+    adj = g.adj
+    mate: dict[int, int] = {}
+    for u, v in matching.edges:
+        mate[u] = v
+        mate[v] = u
+    exposed = g.full_mask & ~vset(mate)
+    state = _propagate(adj, mate, mate, (0, 0, 0, 0), exposed, exposed)
+    if state is None:
+        raise ConstructionFailedError("the exposed vertices do not propagate: not KE")
+    candidates = witness & ~_swappable(adj, g.full_mask, witness)
+    result = candidates & exposed
+    candidates &= ~exposed
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        out = state[2]
+        partner = 1 << mate[low.bit_length() - 1] & ~out
+        probe = _propagate(adj, mate, mate, state, partner, partner)
+        if probe is None:
+            result |= low
+            state = _propagate(adj, mate, mate, state, low & ~out, low & ~out)
+        else:
+            candidates &= ~probe[0]
+    return result
 
 
 def _propagate(

@@ -14,7 +14,10 @@ too: each asks for a maximum independent set that avoids one candidate,
 starting from the floor alpha - 1, and each set found rules out every
 candidate outside it.
 Exact answers are practical to roughly n = 60; everything here sits behind
-a size gate that callers may raise explicitly.
+a size gate that callers may raise explicitly. Reports on Konig-Egervary
+graphs need none of this: their alpha, witness and core come from the
+critical witness and ``critical.ke_core``, and only graphs that are not KE
+reach the search.
 """
 
 from __future__ import annotations

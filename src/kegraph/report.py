@@ -3,7 +3,9 @@
 Polynomial quantities (mu, deficiency, d, alpha_c, the KE verdict and its
 certificates) are always computed. Fields that need the exact solver (alpha,
 core, the equality chain) are computed only within the size gate, otherwise
-reported as null with ``gated: true``.
+reported as null with ``gated: true``. On a KE graph those fields take no
+search: alpha and its lex-least witness are the critical witness, and the
+core comes from the 2-SAT of the minimum vertex covers (``ke_core``).
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from . import koenig, oracle
-from .critical import max_critical_independent_set
+from .critical import ke_core, max_critical_independent_set
 from .errors import ContractViolationError
 from .graph import Graph, neighborhood
-from .independence import DEFAULT_EXACT_LIMIT, alpha, core
+from .independence import DEFAULT_EXACT_LIMIT, AlphaResult, alpha, core
 from .matching import maximum_matching
 
 __all__ = ["AnalysisReport", "analyze_graph", "CSV_COLUMNS", "csv_row"]
@@ -167,9 +169,19 @@ def analyze_graph(
     exact_ok = not poly_only and (force or exact_limit is None or g.n <= exact_limit)
     c = None
     if exact_ok:
-        limit = None if force else exact_limit
-        a = alpha(g, limit)
-        c = core(g, limit, alpha_result=a)
+        if cert.is_ke:
+            # Every maximum independent set of a KE graph is critical, so the
+            # lex-least critical witness is the lex-least alpha witness.
+            a = AlphaResult(witness.set.bit_count(), witness.set)
+            c = ke_core(g, mu_matching, witness.set)
+        else:
+            limit = None if force else exact_limit
+            a = alpha(g, limit)
+            c = core(g, limit, alpha_result=a)
+            # Any maximum independent set is non-critical on a NotKE graph.
+            report.certificates["non_ke_witness"]["non_critical_mis"] = g.labels_of(
+                a.witness
+            )
         report.alpha = a.value
         report.core = g.labels_of(c)
         report.n_core = g.labels_of(neighborhood(g, c))
@@ -181,11 +193,6 @@ def analyze_graph(
             "def": chain.deficiency,
             "chain_holds": chain.chain_holds,
         }
-        if not cert.is_ke:
-            # Any maximum independent set is non-critical on a NotKE graph.
-            report.certificates["non_ke_witness"]["non_critical_mis"] = g.labels_of(
-                a.witness
-            )
     else:
         report.gated = True
 

@@ -54,6 +54,7 @@ from .matching import (
     maximum_matching,
     saturating_matching,
 )
+from .report import analyze_graph
 
 __all__ = [
     "Violation", "Check", "Probe", "run_suite", "run_check", "minimize",
@@ -231,6 +232,22 @@ def _ke_perfect_matching_link_broken(g: Graph) -> bool:
     if not koenig.recognize_ke(g).is_ke:
         return False
     return (critical_difference(g) == 0) != has_perfect_matching(g)
+
+
+def _ke_path_differs(g: Graph) -> bool:
+    """A KE graph whose report gives an alpha, witness or core (taken from
+    the critical witness and the cover 2-SAT) other than branch-and-bound's."""
+    try:
+        r = analyze_graph(g, force=True)
+    except KegraphError:
+        return True
+    if not r.is_ke:
+        return False
+    a = alpha(g, None)
+    c = core(g, None, alpha_result=a)
+    return (r.alpha, r.certificates["ke_witness"]["independent_set"], r.core) != (
+        a.value, g.labels_of(a.witness), g.labels_of(c)
+    )
 
 
 def _bipartite_not_ke(g: Graph) -> bool:
@@ -537,6 +554,7 @@ _TABLE = (
         Probe("certificate", _ke_certificate_invalid),
         Probe("bipartite verdict", _bipartite_not_ke),
         Probe("structure checks", _ke_structure_broken, takes_cap=True),
+        Probe("KE path differs from branch-and-bound", _ke_path_differs),
     )),
     Check("critical_family", "full", _random_graphs(150, 10), (
         Probe("critical set fails local-max/extension/Hall", _critical_family_broken),

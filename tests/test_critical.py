@@ -3,9 +3,11 @@ import random
 import pytest
 
 from kegraph import (
+    Graph,
     Matching,
     NotCriticalError,
     bipartite_double_cover,
+    core,
     critical_difference,
     extends_to_maximum,
     generate,
@@ -203,6 +205,16 @@ def test_doubled_matching_is_maximum_on_ke_graphs():
             ke += 1
             assert critical._cover_mu(g.adj, g.full_mask) == 2 * maximum_matching(g).size
     assert ke >= 300
+
+
+def test_ke_core_needs_in_forces_mate_out():
+    # A KE graph on which ke_core goes wrong (it returns the empty set) when
+    # _propagate lacks "in forces its mate out".
+    g = Graph(8, [(0, 1), (0, 2), (0, 5), (1, 3), (1, 6), (1, 7), (2, 3), (2, 5), (4, 7)])
+    m = maximum_matching(g)
+    w = max_critical_independent_set(g, m)
+    assert recognize_ke(g).is_ke
+    assert critical.ke_core(g, m, w.set) == core(g) == vset([3, 6])
 
 
 def test_alpha_c_matches_oracle():

@@ -1,17 +1,29 @@
 import json
 import os
+import random
+import re
 import subprocess
 import sys
+
+import pytest
 
 from kegraph import (
     CSV_COLUMNS,
     AnalysisReport,
+    Graph,
     analyze_graph,
+    core,
     csv_row,
     emit_graph6,
     fixture,
     generate,
+    random_bipartite_graph,
+    random_graph,
+    recognize_ke,
+    two_coloring,
 )
+from kegraph.cli import main
+from kegraph.verify import _ke_path_differs
 
 RUN = [sys.executable, "-m", "kegraph"]
 
@@ -323,3 +335,88 @@ def test_cli_batch_equals_analyze_rows(tmp_path):
         g6 = emit_graph6(fixture(name))
         direct = csv_row(analyze_graph(fixture(name), name=g6))
         assert row == direct
+
+
+# --- KE graphs: alpha, witness and core without branch-and-bound ---
+
+
+def test_ke_path_equals_branch_and_bound_small():
+    rng = random.Random(1201)
+    seen = non_bipartite = with_core = 0
+    while seen < 2000:
+        n = rng.randint(0, 16)
+        if seen % 2:
+            g = random_bipartite_graph(rng, n, rng.random())[0]
+        else:
+            g = random_graph(rng, n, 0.5 * rng.random())
+            if not recognize_ke(g).is_ke:
+                continue
+        assert not _ke_path_differs(g), emit_graph6(g)
+        seen += 1
+        non_bipartite += two_coloring(g) is None
+        with_core += core(g, None) != 0
+    assert non_bipartite >= 200 and with_core >= 1000
+
+
+def _shuffled_bipartite(rng: random.Random, n: int, deg: float) -> Graph:
+    """Sides of n // 2 and n - n // 2 shuffled vertices, average degree *deg*."""
+    n1 = n // 2
+    p = deg * n / (2 * n1 * (n - n1))
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = [(u, v) for u in order[:n1] for v in order[n1:] if rng.random() < p]
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize("n, deg", [(48, 4), (56, 6), (64, 3), (72, 5), (80, 8)])
+def test_ke_path_equals_branch_and_bound_on_larger_bipartite_graphs(n, deg):
+    # The bipartite specs of the analyze-exact benchmark workload.
+    rng = random.Random(f"{n}:{deg}")
+    for _ in range(2):
+        assert not _ke_path_differs(_shuffled_bipartite(rng, n, deg))
+
+
+@pytest.mark.parametrize("n, edges, isolated", [
+    (0, [], 0),
+    (1, [], 1),
+    (5, [], 5),
+    (70, [], 70),
+    (7, [(0, 1), (1, 2), (2, 3)], 3),
+    (6, [(0, 1), (0, 2), (0, 3)], 2),
+], ids=["empty0", "empty1", "empty5", "empty70", "path4+3", "star4+2"])
+def test_cli_force_puts_isolated_vertices_in_the_core(tmp_path, capsys, n, edges, isolated):
+    # Isolated vertices are exposed by every matching, so the cover 2-SAT
+    # puts them out of every minimum cover, hence in the core.
+    g = Graph(n, edges)
+    path = tmp_path / "g.g6"
+    path.write_text(emit_graph6(g) + "\n")
+    assert main(["analyze", str(path), "--force"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["is_ke"]
+    lonely = [str(v) for v in range(n) if not g.adj[v]]
+    assert len(lonely) == isolated and set(lonely) <= set(data["core"])
+    assert data["core"] == g.labels_of(core(g, None))
+
+
+def _without_timing(text: str) -> str:
+    return re.sub(r'"timing_ms": [0-9.e+-]+', '"timing_ms": 0', text)
+
+
+def test_cli_usage_error_in_process_then_same_output_as_a_fresh_process(capsys, monkeypatch):
+    # The parser is built once per process; a call that fails to parse must
+    # leave nothing behind for the next call.
+    monkeypatch.setenv("COLUMNS", "80")
+    bad = ["analyze", "--json", "--csv", "--fixture", "G1"]
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: kegraph analyze")
+    assert "argument --csv: not allowed with argument --json" in err
+    fresh_bad = run_cli(*bad, env_extra={"COLUMNS": "80"})
+    assert (fresh_bad.returncode, fresh_bad.stdout, fresh_bad.stderr) == (2, "", err)
+    assert main(["analyze", "--fixture", "G1", "--json"]) == 0
+    got = capsys.readouterr()
+    fresh = run_cli("analyze", "--fixture", "G1", "--json")
+    assert fresh.returncode == 0 and got.err == fresh.stderr == ""
+    assert _without_timing(got.out) == _without_timing(fresh.stdout)

@@ -108,3 +108,15 @@ def test_critical_shortcut_row_fires_on_most_dense_members():
         _alpha_c_zero(g.adj, *_cover_matching(g, maximum_matching(g))) for g in dense
     )
     assert dense and 2 * fired >= len(dense)
+
+
+def test_ke_guarantees_pool_has_cores_and_non_bipartite_members():
+    # The row's "KE path differs from branch-and-bound" probe compares only
+    # KE members, so the pool must hold KE graphs with something to compare.
+    from kegraph import core, recognize_ke, two_coloring
+
+    check = next(c for c in CHECKS["full"] if c.name == "ke_guarantees")
+    samples = check.pool(random.Random(f"{DEFAULT_SEED}:{check.name}"))
+    ke = [g for _tag, g in samples if recognize_ke(g).is_ke]
+    assert sum(core(g, None) != 0 for g in ke) >= 50
+    assert any(two_coloring(g) is None for g in ke)
