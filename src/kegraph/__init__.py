@@ -80,16 +80,21 @@ from .critical import (
 )
 from .koenig import (
     CharacterizationRecord,
-    EqualityChainReport,
     KECertificate,
     KEWitness,
     NonKEWitness,
     StructureChecks,
     characterization_check,
-    equality_chain_report,
     recognize_ke,
     structure_checks_ke,
 )
-from .report import CSV_COLUMNS, AnalysisReport, analyze_graph, csv_row
+from .report import (
+    CSV_COLUMNS,
+    AnalysisReport,
+    EqualityChainReport,
+    analyze_graph,
+    csv_row,
+    equality_chain_report,
+)
 
 __version__ = "0.1.0"

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from .errors import ConstructionFailedError, NotCriticalError
 from .graph import Graph, bits, is_independent, neighborhood, vset
 from .independence import _swappable
-from .matching import HallViolation, Matching, _grow, _kuhn, saturating_matching
+from .matching import HallViolation, Matching, _grow, saturating_matching
 
 __all__ = [
     "CriticalWitness",
@@ -59,19 +59,9 @@ def bipartite_double_cover(g: Graph) -> Graph:
     return Graph.from_adjacency(adj, labels)
 
 
-def _cover_mu(adj: tuple[int, ...], active: int) -> int:
-    """Matching number of the double cover restricted to *active* vertices.
-
-    The cover's left adjacency equals the source adjacency, so the matching
-    runs directly on the source masks with both sides drawn from *active*.
-    """
-    mate_l, _ = _kuhn(adj, active, active)
-    return len(mate_l)
-
-
 def critical_difference(g: Graph) -> int:
     """d(g) = max{|S| - |N(S)| : S independent} = n - mu(double cover)."""
-    return g.n - _cover_mu(g.adj, g.full_mask)
+    return g.n - len(_cover_matching(g, None)[0])
 
 
 def is_critical(g: Graph, s: int) -> bool:

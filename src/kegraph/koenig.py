@@ -6,39 +6,30 @@ polynomial route: alpha_c <= alpha <= n - mu holds always, so the verdict is
 simply [alpha_c = n - mu], decided by matchings alone -- no exact solver.
 A KE verdict ships a maximum independent set S together with a matching of
 V - S into S saturating V - S; a NotKE verdict ships the arithmetic record
-(alpha_c, mu, n), optionally strengthened by a maximum independent set that
-fails criticality.
+(alpha_c, mu, n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .critical import max_critical_independent_set
+from .critical import CriticalWitness, max_critical_independent_set
 from .errors import ContractViolationError, NotKEError
 from .graph import (
     Graph,
     delete_closed_neighborhood,
     neighborhood,
 )
-from .independence import (
-    DEFAULT_EXACT_LIMIT,
-    DEFAULT_OMEGA_CAP,
-    alpha,
-    collect_omega,
-    core,
-)
+from .independence import DEFAULT_EXACT_LIMIT, DEFAULT_OMEGA_CAP, collect_omega
 from .matching import Matching, maximum_matching
 
 __all__ = [
     "KECertificate",
     "KEWitness",
     "NonKEWitness",
-    "EqualityChainReport",
     "CharacterizationRecord",
     "StructureChecks",
     "recognize_ke",
-    "equality_chain_report",
     "characterization_check",
     "structure_checks_ke",
 ]
@@ -54,13 +45,11 @@ class KEWitness:
 
 @dataclass(frozen=True)
 class NonKEWitness:
-    """The arithmetic gap alpha_c < n - mu, optionally with a maximum
-    independent set that is not critical."""
+    """The arithmetic gap alpha_c < n - mu."""
 
     alpha_c: int
     mu: int
     n: int
-    non_critical_mis: int | None = None
 
 
 @dataclass(frozen=True)
@@ -70,36 +59,12 @@ class KECertificate:
     non_ke_witness: NonKEWitness | None = None
 
 
-def recognize_ke(
-    g: Graph,
-    *,
-    with_mis_witness: bool = False,
-    limit: int | None = DEFAULT_EXACT_LIMIT,
-) -> KECertificate:
-    """Decide KE-ness with a machine-checkable certificate.
-
-    With ``with_mis_witness=True`` a NotKE certificate additionally carries a
-    maximum independent set (necessarily non-critical); that path needs the
-    exact solver and respects its size gate.
-    """
-    matching = maximum_matching(g)
-    return certificate_from_parts(
-        g,
-        max_critical_independent_set(g, matching),
-        matching.size,
-        with_mis_witness=with_mis_witness,
-        limit=limit,
-    )
+def recognize_ke(g: Graph) -> KECertificate:
+    """Decide KE-ness with a machine-checkable certificate."""
+    return _recognized(g)[2]
 
 
-def certificate_from_parts(
-    g: Graph,
-    witness,
-    mu: int,
-    *,
-    with_mis_witness: bool = False,
-    limit: int | None = DEFAULT_EXACT_LIMIT,
-) -> KECertificate:
+def certificate_from_parts(g: Graph, witness: CriticalWitness, mu: int) -> KECertificate:
     """Build the certificate from an already-computed critical witness and mu."""
     alpha_c = witness.set.bit_count()
     if alpha_c == g.n - mu:
@@ -111,71 +76,16 @@ def certificate_from_parts(
                 "KE certificate matching fails to saturate V - S"
             )
         return KECertificate(is_ke=True, ke_witness=KEWitness(s, matching))
-    mis = alpha(g, limit).witness if with_mis_witness else None
-    return KECertificate(
-        is_ke=False,
-        non_ke_witness=NonKEWitness(alpha_c, mu, g.n, non_critical_mis=mis),
-    )
+    return KECertificate(is_ke=False, non_ke_witness=NonKEWitness(alpha_c, mu, g.n))
 
 
-def _recognized(g: Graph) -> tuple[int, int, KECertificate]:
-    """d, mu and the KE certificate, from one critical witness and one
-    maximum matching."""
+def _recognized(g: Graph) -> tuple[Matching, CriticalWitness, KECertificate]:
+    """One maximum matching, the critical witness over it, and the KE
+    certificate of the two: d is the witness's value and mu the matching's
+    size."""
     matching = maximum_matching(g)
-    mu = matching.size
     witness = max_critical_independent_set(g, matching)
-    return witness.value, mu, certificate_from_parts(g, witness, mu)
-
-
-@dataclass(frozen=True)
-class EqualityChainReport:
-    """The four quantities d, |core| - |N(core)|, alpha - mu, and n - 2*mu.
-
-    They coincide on every KE graph; on other graphs the report is
-    informational (each pattern of agreement does occur).
-    """
-
-    d: int
-    core_surplus: int
-    alpha_minus_mu: int
-    deficiency: int
-    is_ke: bool
-
-    @property
-    def chain_holds(self) -> bool:
-        return self.d == self.core_surplus == self.alpha_minus_mu == self.deficiency
-
-    def values(self) -> tuple[int, int, int, int]:
-        return (self.d, self.core_surplus, self.alpha_minus_mu, self.deficiency)
-
-
-def chain_from_parts(
-    g: Graph, d: int, core_set: int, alpha_value: int, mu: int, is_ke: bool
-) -> EqualityChainReport:
-    """Build the chain from already-computed parts; a KE graph failing it is
-    an internal defect."""
-    report = EqualityChainReport(
-        d=d,
-        core_surplus=core_set.bit_count() - neighborhood(g, core_set).bit_count(),
-        alpha_minus_mu=alpha_value - mu,
-        deficiency=g.n - 2 * mu,
-        is_ke=is_ke,
-    )
-    if report.is_ke and not report.chain_holds:
-        raise ContractViolationError(
-            f"equality chain broken on a KE graph: {report.values()}"
-        )
-    return report
-
-
-def equality_chain_report(
-    g: Graph, limit: int | None = DEFAULT_EXACT_LIMIT
-) -> EqualityChainReport:
-    """Evaluate the equality chain; a KE graph failing it is an internal defect."""
-    a = alpha(g, limit)
-    c = core(g, limit, alpha_result=a)
-    d, mu, cert = _recognized(g)
-    return chain_from_parts(g, d, c, a.value, mu, cert.is_ke)
+    return matching, witness, certificate_from_parts(g, witness, matching.size)
 
 
 @dataclass(frozen=True)
@@ -203,7 +113,8 @@ def characterization_check(
     Requires untruncated enumeration (raises TruncatedOmegaError otherwise).
     """
     omega = collect_omega(g, cap, limit)
-    d, _mu, cert = _recognized(g)
+    _matching, witness, cert = _recognized(g)
+    d = witness.value
     exists = False
     witness = None
     all_critical = True
@@ -253,7 +164,7 @@ def structure_checks_ke(
     """Verify, on a KE graph: (i) N(core) is the intersection of the
     complements of all maximum independent sets, (ii) alpha + |that set| =
     mu + |core|, (iii) G - N[core] has a perfect matching and is itself KE."""
-    _d, mu, cert = _recognized(g)
+    matching, _witness, cert = _recognized(g)
     if not cert.is_ke:
         w = cert.non_ke_witness
         raise NotKEError(f"alpha_c={w.alpha_c} < n - mu = {w.n - w.mu}; not KE")
@@ -267,13 +178,13 @@ def structure_checks_ke(
     nc = neighborhood(g, c)
     a = omega[0].bit_count()
     residual = delete_closed_neighborhood(g, c)
-    _d, residual_mu, residual_cert = _recognized(residual)
+    residual_matching, _witness, residual_cert = _recognized(residual)
     return StructureChecks(
         ncore_equals_complement_intersection=(nc == complement_intersection),
         counting_identity_holds=(
-            a + complement_intersection.bit_count() == mu + c.bit_count()
+            a + complement_intersection.bit_count() == matching.size + c.bit_count()
         ),
-        residual_perfectly_matched=(residual.n == 2 * residual_mu),
+        residual_perfectly_matched=(residual.n == 2 * residual_matching.size),
         residual_is_ke=residual_cert.is_ke,
         core=c,
         ncore=nc,

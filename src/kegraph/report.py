@@ -1,11 +1,13 @@
-"""Per-graph analysis records: assembly, JSON round-tripping, CSV rows.
+"""Per-graph analysis records (assembly, JSON round-tripping, CSV rows) and
+the equality chain d = |core| - |N(core)| = alpha - mu = n - 2 mu.
 
 Polynomial quantities (mu, deficiency, d, alpha_c, the KE verdict and its
 certificates) are always computed. Fields that need the exact solver (alpha,
 core, the equality chain) are computed only within the size gate, otherwise
 reported as null with ``gated: true``. On a KE graph those fields take no
 search: alpha and its lex-least witness are the critical witness, and the
-core comes from the 2-SAT of the minimum vertex covers (``ke_core``).
+core comes from the 2-SAT of the minimum vertex covers (``ke_core``). The
+library's ``equality_chain_report`` takes the same route.
 """
 
 from __future__ import annotations
@@ -16,13 +18,16 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from . import koenig, oracle
-from .critical import ke_core, max_critical_independent_set
+from .critical import CriticalWitness, ke_core, max_critical_independent_set
 from .errors import ContractViolationError
 from .graph import Graph, neighborhood
-from .independence import DEFAULT_EXACT_LIMIT, AlphaResult, alpha, core
-from .matching import maximum_matching
+from .independence import DEFAULT_EXACT_LIMIT, AlphaResult, _gate, alpha, core
+from .matching import Matching, maximum_matching
 
-__all__ = ["AnalysisReport", "analyze_graph", "CSV_COLUMNS", "csv_row"]
+__all__ = [
+    "AnalysisReport", "analyze_graph", "CSV_COLUMNS", "csv_row",
+    "EqualityChainReport", "equality_chain_report",
+]
 
 CSV_COLUMNS = (
     "name", "n", "m", "alpha", "mu", "def", "d", "alpha_c",
@@ -169,15 +174,10 @@ def analyze_graph(
     exact_ok = not poly_only and (force or exact_limit is None or g.n <= exact_limit)
     c = None
     if exact_ok:
-        if cert.is_ke:
-            # Every maximum independent set of a KE graph is critical, so the
-            # lex-least critical witness is the lex-least alpha witness.
-            a = AlphaResult(witness.set.bit_count(), witness.set)
-            c = ke_core(g, mu_matching, witness.set)
-        else:
-            limit = None if force else exact_limit
-            a = alpha(g, limit)
-            c = core(g, limit, alpha_result=a)
+        a, c = _alpha_and_core(
+            g, mu_matching, witness, cert.is_ke, None if force else exact_limit
+        )
+        if not cert.is_ke:
             # Any maximum independent set is non-critical on a NotKE graph.
             report.certificates["non_ke_witness"]["non_critical_mis"] = g.labels_of(
                 a.witness
@@ -185,7 +185,7 @@ def analyze_graph(
         report.alpha = a.value
         report.core = g.labels_of(c)
         report.n_core = g.labels_of(neighborhood(g, c))
-        chain = koenig.chain_from_parts(g, d, c, a.value, mu, cert.is_ke)
+        chain = chain_from_parts(g, d, c, a.value, mu, cert.is_ke)
         report.chain = {
             "d": chain.d,
             "core_surplus": chain.core_surplus,
@@ -202,6 +202,81 @@ def analyze_graph(
 
     report.timing_ms = round((time.perf_counter() - t0) * 1000.0, 3)
     return report
+
+
+def _alpha_and_core(
+    g: Graph,
+    matching: Matching,
+    witness: CriticalWitness,
+    is_ke: bool,
+    limit: int | None,
+) -> tuple[AlphaResult, int]:
+    """Alpha with its lex-least witness, and the core.
+
+    Every maximum independent set of a KE graph is critical, so there the
+    lex-least critical witness is the lex-least alpha witness, and the core
+    is read off the cover 2-SAT over *matching*, a maximum matching.
+    Other graphs take branch-and-bound, gated at *limit*.
+    """
+    if is_ke:
+        a = AlphaResult(witness.set.bit_count(), witness.set)
+        return a, ke_core(g, matching, witness.set)
+    a = alpha(g, limit)
+    return a, core(g, limit, alpha_result=a)
+
+
+@dataclass(frozen=True)
+class EqualityChainReport:
+    """The four quantities d, |core| - |N(core)|, alpha - mu, and n - 2*mu.
+
+    They coincide on every KE graph; on other graphs the report is
+    informational (each pattern of agreement does occur).
+    """
+
+    d: int
+    core_surplus: int
+    alpha_minus_mu: int
+    deficiency: int
+    is_ke: bool
+
+    @property
+    def chain_holds(self) -> bool:
+        return self.d == self.core_surplus == self.alpha_minus_mu == self.deficiency
+
+    def values(self) -> tuple[int, int, int, int]:
+        return (self.d, self.core_surplus, self.alpha_minus_mu, self.deficiency)
+
+
+def chain_from_parts(
+    g: Graph, d: int, core_set: int, alpha_value: int, mu: int, is_ke: bool
+) -> EqualityChainReport:
+    """Build the chain from already-computed parts; a KE graph failing it is
+    an internal defect."""
+    report = EqualityChainReport(
+        d=d,
+        core_surplus=core_set.bit_count() - neighborhood(g, core_set).bit_count(),
+        alpha_minus_mu=alpha_value - mu,
+        deficiency=g.n - 2 * mu,
+        is_ke=is_ke,
+    )
+    if report.is_ke and not report.chain_holds:
+        raise ContractViolationError(
+            f"equality chain broken on a KE graph: {report.values()}"
+        )
+    return report
+
+
+def equality_chain_report(
+    g: Graph, limit: int | None = DEFAULT_EXACT_LIMIT
+) -> EqualityChainReport:
+    """Evaluate the equality chain; a KE graph failing it is an internal defect.
+
+    Every graph above *limit* raises TooLargeError, KE graphs too.
+    """
+    _gate(g.n, limit)
+    matching, witness, cert = koenig._recognized(g)
+    a, c = _alpha_and_core(g, matching, witness, cert.is_ke, limit)
+    return chain_from_parts(g, witness.value, c, a.value, matching.size, cert.is_ke)
 
 
 def _edge_labels(g: Graph, edges: tuple[tuple[int, int], ...]) -> list[list[str]]:

@@ -54,7 +54,7 @@ from .matching import (
     maximum_matching,
     saturating_matching,
 )
-from .report import analyze_graph
+from .report import analyze_graph, chain_from_parts, equality_chain_report
 
 __all__ = [
     "Violation", "Check", "Probe", "run_suite", "run_check", "minimize",
@@ -209,12 +209,21 @@ def _recognition_inconsistent(g: Graph) -> bool:
 
 
 def _ke_chain_broken(g: Graph) -> bool:
+    """A KE graph whose equality chain fails, or differs from the chain
+    built from branch-and-bound alpha and core, the reference for the chain's
+    critical-witness and cover 2-SAT route."""
     if not koenig.recognize_ke(g).is_ke:
         return False
     try:
-        return not koenig.equality_chain_report(g).chain_holds
+        chain = equality_chain_report(g)
+        a = alpha(g, None)
+        reference = chain_from_parts(
+            g, critical_difference(g), core(g, None, alpha_result=a), a.value,
+            maximum_matching(g).size, True,
+        )
     except KegraphError:
         return True
+    return not chain.chain_holds or chain != reference
 
 
 def _ke_structure_broken(g: Graph, cap: int) -> bool:

@@ -26,6 +26,7 @@ from kegraph import (
     vset,
 )
 from kegraph import critical
+from kegraph.matching import _kuhn
 from kegraph.oracle import brute_alpha_c, brute_critical_difference
 
 from conftest import critical_sets_of, surplus
@@ -124,12 +125,18 @@ def test_max_critical_set_contract():
         assert w.hall_matching.saturated & nb == nb
 
 
+def _cover_mu(adj, active):
+    """mu of the double cover restricted to *active*, by Kuhn's method on
+    the source masks (the cover's left adjacency is the source adjacency)."""
+    return len(_kuhn(adj, active, active)[0])
+
+
 def _from_scratch_witness(g):
     """Reference greedy: the same scan and decisions, but mu(cover) of the
     rest is matched from scratch for every probe."""
     adj = g.adj
     active = g.full_mask
-    d = d_whole = g.n - critical._cover_mu(adj, active)
+    d = d_whole = g.n - _cover_mu(adj, active)
     chosen = 0
     for v in range(g.n):
         if not (active >> v) & 1:
@@ -139,7 +146,7 @@ def _from_scratch_witness(g):
         target = d + nb.bit_count() - 1
         if target > rest.bit_count():
             continue
-        d_rest = rest.bit_count() - critical._cover_mu(adj, rest)
+        d_rest = rest.bit_count() - _cover_mu(adj, rest)
         if d_rest == target:
             chosen |= 1 << v
             active = rest
@@ -203,7 +210,7 @@ def test_doubled_matching_is_maximum_on_ke_graphs():
             g = random_graph(rng, rng.randint(0, 12), rng.random())
         if recognize_ke(g).is_ke:
             ke += 1
-            assert critical._cover_mu(g.adj, g.full_mask) == 2 * maximum_matching(g).size
+            assert _cover_mu(g.adj, g.full_mask) == 2 * maximum_matching(g).size
     assert ke >= 300
 
 

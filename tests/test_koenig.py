@@ -6,6 +6,7 @@ from kegraph import (
     NotKEError,
     TruncatedOmegaError,
     alpha,
+    analyze_graph,
     characterization_check,
     critical_difference,
     equality_chain_report,
@@ -53,10 +54,10 @@ def test_recognize_h2_ke():
 
 
 def test_recognize_with_mis_witness(gf10):
-    cert = recognize_ke(gf10, with_mis_witness=True)
-    assert not cert.is_ke
-    mis = cert.non_ke_witness.non_critical_mis
-    assert mis is not None
+    r = analyze_graph(gf10)
+    assert not r.is_ke
+    labels = r.certificates["non_ke_witness"]["non_critical_mis"]
+    mis = vset(gf10.index_of(v) for v in labels)
     assert mis.bit_count() == alpha(gf10).value
     assert is_independent(gf10, mis)
     assert not is_critical(gf10, mis)

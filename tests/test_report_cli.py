@@ -11,18 +11,25 @@ from kegraph import (
     CSV_COLUMNS,
     AnalysisReport,
     Graph,
+    TooLargeError,
+    alpha,
     analyze_graph,
     core,
+    critical_difference,
     csv_row,
     emit_graph6,
+    equality_chain_report,
     fixture,
     generate,
+    maximum_matching,
     random_bipartite_graph,
     random_graph,
     recognize_ke,
     two_coloring,
 )
+from kegraph import independence
 from kegraph.cli import main
+from kegraph.report import chain_from_parts
 from kegraph.verify import _ke_path_differs
 
 RUN = [sys.executable, "-m", "kegraph"]
@@ -374,6 +381,31 @@ def test_ke_path_equals_branch_and_bound_on_larger_bipartite_graphs(n, deg):
     rng = random.Random(f"{n}:{deg}")
     for _ in range(2):
         assert not _ke_path_differs(_shuffled_bipartite(rng, n, deg))
+
+
+def test_equality_chain_report_runs_no_branch_and_bound_on_ke_graphs(monkeypatch):
+    graphs = [fixture("H1"), fixture("G1")]
+    for n, deg in [(48, 4), (56, 6), (64, 3), (72, 5), (80, 8)]:
+        rng = random.Random(f"{n}:{deg}")
+        graphs += [_shuffled_bipartite(rng, n, deg) for _ in range(2)]
+    expected = []
+    for g in graphs:
+        a = alpha(g, None)
+        expected.append(chain_from_parts(
+            g, critical_difference(g), core(g, None, alpha_result=a), a.value,
+            maximum_matching(g).size, True,
+        ))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("branch-and-bound ran on a KE graph")
+
+    monkeypatch.setattr(independence, "_alpha_value", no_search)
+    assert [equality_chain_report(g, None) for g in graphs] == expected
+    n80 = graphs[-1]
+    assert n80.n == 80
+    with pytest.raises(TooLargeError):
+        equality_chain_report(n80)
+    assert equality_chain_report(n80, limit=None).chain_holds
 
 
 @pytest.mark.parametrize("n, edges, isolated", [

@@ -95,6 +95,16 @@ def test_violation_predicates_pass_on_healthy_graphs():
         assert not _recognition_inconsistent(g)
 
 
+def test_chain_probe_catches_a_wrong_ke_core(monkeypatch):
+    from kegraph import report
+    from kegraph.verify import _ke_chain_broken
+
+    g = fixture("G1")
+    assert not _ke_chain_broken(g)
+    monkeypatch.setattr(report, "ke_core", lambda g, matching, witness: 0)
+    assert _ke_chain_broken(g)
+
+
 def test_critical_shortcut_row_fires_on_most_dense_members():
     # The row only probes graphs on which the alpha_c = 0 test fires, so it
     # must fire often enough for the row to mean something.
