@@ -17,7 +17,6 @@ from .errors import (
     MalformedError,
     NOverflowError,
     NotBipartiteError,
-    NotCriticalError,
     NotIndependentError,
     NotKEError,
     ParseError,
@@ -74,8 +73,6 @@ from .critical import (
     CriticalWitness,
     bipartite_double_cover,
     critical_difference,
-    hall_certificate,
-    is_critical,
     max_critical_independent_set,
 )
 from .koenig import (

@@ -19,7 +19,7 @@ from .errors import BadParamsError, KegraphError, ParseError, UnknownNameError
 from .fixtures import FAMILIES, FIXTURE_NAMES, fixture, generate
 from .formats import emit_graph6, parse_edge_list, parse_graph6
 from .graph import Graph
-from .independence import DEFAULT_EXACT_LIMIT, DEFAULT_OMEGA_CAP
+from .independence import DEFAULT_OMEGA_CAP
 from .report import CSV_COLUMNS, analyze_graph, csv_row
 from .verify import DEFAULT_SEED, run_suite
 
@@ -109,13 +109,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except (ParseError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = analyze_graph(
-        g,
-        name=name,
-        exact_limit=DEFAULT_EXACT_LIMIT,
-        force=args.force,
-        with_oracle=args.oracle,
-    )
+    report = analyze_graph(g, name=name, force=args.force, with_oracle=args.oracle)
     if args.csv:
         print(",".join(CSV_COLUMNS))
         print(csv_row(report))
@@ -124,24 +118,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 3 if report.gated else 0
 
 
-_WORKER_CONFIG: dict[str, bool] = {}
-
-
-def _init_batch_worker(force: bool, poly_only: bool, with_oracle: bool) -> None:
-    _WORKER_CONFIG.update(force=force, poly_only=poly_only, with_oracle=with_oracle)
-
-
-def _batch_one(item: tuple[int, str]) -> tuple[int, str, str, bool | None, bool | None]:
+def _batch_one(
+    item: tuple[int, str], **options: bool
+) -> tuple[int, str, str, bool | None, bool | None]:
+    """One batch line: its CSV row, or its error line; *options* go to
+    analyze_graph."""
     lineno, line = item
     try:
-        g = parse_graph6(line)
-        report = analyze_graph(
-            g,
-            name=line,
-            force=_WORKER_CONFIG["force"],
-            poly_only=_WORKER_CONFIG["poly_only"],
-            with_oracle=_WORKER_CONFIG["with_oracle"],
-        )
+        report = analyze_graph(parse_graph6(line), name=line, **options)
         chain_holds = report.chain["chain_holds"] if report.chain else None
         return lineno, csv_row(report), "", report.is_ke, chain_holds
     except KegraphError as exc:
@@ -165,17 +149,14 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         for lineno, line in enumerate(lines, start=1)
         if line.strip()
     ]
-    _init_batch_worker(args.force, args.poly_only, args.oracle)
+    one = functools.partial(
+        _batch_one, force=args.force, poly_only=args.poly_only, with_oracle=args.oracle
+    )
     if args.jobs > 1 and len(items) > 1:
-        with multiprocessing.Pool(
-            args.jobs,
-            initializer=_init_batch_worker,
-            initargs=(args.force, args.poly_only, args.oracle),
-        ) as pool:
-            results = pool.imap(_batch_one, items, chunksize=64)
-            parsed = _emit_batch(results)
+        with multiprocessing.Pool(args.jobs) as pool:
+            parsed = _emit_batch(pool.imap(one, items, chunksize=64))
     else:
-        parsed = _emit_batch(map(_batch_one, items))
+        parsed = _emit_batch(map(one, items))
     return 0 if parsed else 2
 
 

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConstructionFailedError, NotCriticalError
-from .graph import Graph, bits, is_independent, neighborhood, vset
+from .errors import ConstructionFailedError
+from .graph import Graph, is_independent, neighborhood, vset
 from .independence import _swappable
 from .matching import HallViolation, Matching, _grow, saturating_matching
 
@@ -38,10 +38,8 @@ __all__ = [
     "CriticalWitness",
     "bipartite_double_cover",
     "critical_difference",
-    "is_critical",
     "ke_core",
     "max_critical_independent_set",
-    "hall_certificate",
 ]
 
 
@@ -62,14 +60,6 @@ def bipartite_double_cover(g: Graph) -> Graph:
 def critical_difference(g: Graph) -> int:
     """d(g) = max{|S| - |N(S)| : S independent} = n - mu(double cover)."""
     return g.n - len(_cover_matching(g, None)[0])
-
-
-def is_critical(g: Graph, s: int) -> bool:
-    """True iff *s* is independent and |s| - |N(s)| attains d(g)."""
-    if not is_independent(g, s):
-        return False
-    surplus = s.bit_count() - neighborhood(g, s).bit_count()
-    return surplus == critical_difference(g)
 
 
 @dataclass(frozen=True)
@@ -298,21 +288,3 @@ def _checked_witness(g: Graph, chosen: int, d: int) -> CriticalWitness:
             "no matching of N(S) into S for the constructed critical set"
         )
     return CriticalWitness(set=chosen, value=value, hall_matching=cert)
-
-
-def hall_certificate(g: Graph, s: int) -> Matching:
-    """Matching from N(s) into s saturating N(s), for a critical set *s*.
-
-    Such a matching always exists when *s* is critical; failure to find one
-    is therefore an internal defect, never a property of the input.
-    """
-    if not is_critical(g, s):
-        raise NotCriticalError(
-            f"set {sorted(bits(s))} does not attain the critical difference"
-        )
-    cert = saturating_matching(g, neighborhood(g, s), s)
-    if isinstance(cert, HallViolation):
-        raise ConstructionFailedError(
-            "critical set unexpectedly fails Hall's condition"
-        )
-    return cert

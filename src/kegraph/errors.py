@@ -57,10 +57,6 @@ class NotIndependentError(KegraphError):
     """A vertex set expected to be independent spans an edge."""
 
 
-class NotCriticalError(KegraphError):
-    """A vertex set expected to attain the critical difference does not."""
-
-
 class NotKEError(KegraphError):
     """An operation requiring a Konig-Egervary graph was given one that is not."""
 

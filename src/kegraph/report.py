@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from . import koenig, oracle
@@ -33,6 +33,10 @@ CSV_COLUMNS = (
     "name", "n", "m", "alpha", "mu", "def", "d", "alpha_c",
     "core_size", "ncore_size", "is_ke", "chain_holds",
 )
+
+
+# Report fields whose JSON key differs from the field name.
+_JSON_KEYS = {"deficiency": "def"}
 
 
 @dataclass
@@ -55,48 +59,14 @@ class AnalysisReport:
     timing_ms: float = 0.0
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "n": self.n,
-            "m": self.m,
-            "alpha": self.alpha,
-            "mu": self.mu,
-            "def": self.deficiency,
-            "d": self.d,
-            "alpha_c": self.alpha_c,
-            "core": self.core,
-            "n_core": self.n_core,
-            "is_ke": self.is_ke,
-            "chain": self.chain,
-            "certificates": self.certificates,
-            "gated": self.gated,
-            "oracle_checked": self.oracle_checked,
-            "timing_ms": self.timing_ms,
-        }
+        return {_JSON_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> AnalysisReport:
-        return cls(
-            name=d["name"],
-            n=d["n"],
-            m=d["m"],
-            mu=d["mu"],
-            deficiency=d["def"],
-            d=d["d"],
-            alpha_c=d["alpha_c"],
-            is_ke=d["is_ke"],
-            alpha=d["alpha"],
-            core=d["core"],
-            n_core=d["n_core"],
-            chain=d["chain"],
-            certificates=d["certificates"],
-            gated=d["gated"],
-            oracle_checked=d["oracle_checked"],
-            timing_ms=d["timing_ms"],
-        )
+        return cls(**{f.name: d[_JSON_KEYS.get(f.name, f.name)] for f in fields(cls)})
 
     @classmethod
     def from_json(cls, text: str) -> AnalysisReport:
@@ -127,17 +97,17 @@ def analyze_graph(
     g: Graph,
     name: str = "",
     *,
-    exact_limit: int | None = DEFAULT_EXACT_LIMIT,
     force: bool = False,
     with_oracle: bool = False,
     poly_only: bool = False,
 ) -> AnalysisReport:
     """Assemble the full record for one graph.
 
-    ``force`` lifts the exact-solver gate; ``poly_only`` skips the exact
-    fields regardless of size; ``with_oracle`` cross-checks every main-path
-    quantity against brute force (within the oracle's own gates) and raises
-    ContractViolationError on mismatch.
+    Alpha, core and the chain are gated above DEFAULT_EXACT_LIMIT vertices;
+    ``force`` lifts the gate; ``poly_only`` skips those fields regardless of
+    size; ``with_oracle`` cross-checks every main-path quantity against brute
+    force (within the oracle's own gates) and raises ContractViolationError
+    on mismatch.
     """
     t0 = time.perf_counter()
     mu_matching = maximum_matching(g)
@@ -171,12 +141,10 @@ def analyze_graph(
             "n": w.n,
         }
 
-    exact_ok = not poly_only and (force or exact_limit is None or g.n <= exact_limit)
+    exact_ok = not poly_only and (force or g.n <= DEFAULT_EXACT_LIMIT)
     c = None
     if exact_ok:
-        a, c = _alpha_and_core(
-            g, mu_matching, witness, cert.is_ke, None if force else exact_limit
-        )
+        a, c = _alpha_and_core(g, mu_matching, witness, cert.is_ke)
         if not cert.is_ke:
             # Any maximum independent set is non-critical on a NotKE graph.
             report.certificates["non_ke_witness"]["non_critical_mis"] = g.labels_of(
@@ -205,24 +173,20 @@ def analyze_graph(
 
 
 def _alpha_and_core(
-    g: Graph,
-    matching: Matching,
-    witness: CriticalWitness,
-    is_ke: bool,
-    limit: int | None,
+    g: Graph, matching: Matching, witness: CriticalWitness, is_ke: bool
 ) -> tuple[AlphaResult, int]:
     """Alpha with its lex-least witness, and the core.
 
     Every maximum independent set of a KE graph is critical, so there the
     lex-least critical witness is the lex-least alpha witness, and the core
     is read off the cover 2-SAT over *matching*, a maximum matching.
-    Other graphs take branch-and-bound, gated at *limit*.
+    Other graphs take branch-and-bound, ungated: both callers gate first.
     """
     if is_ke:
         a = AlphaResult(witness.set.bit_count(), witness.set)
         return a, ke_core(g, matching, witness.set)
-    a = alpha(g, limit)
-    return a, core(g, limit, alpha_result=a)
+    a = alpha(g, None)
+    return a, core(g, None, alpha_result=a)
 
 
 @dataclass(frozen=True)
@@ -275,7 +239,7 @@ def equality_chain_report(
     """
     _gate(g.n, limit)
     matching, witness, cert = koenig._recognized(g)
-    a, c = _alpha_and_core(g, matching, witness, cert.is_ke, limit)
+    a, c = _alpha_and_core(g, matching, witness, cert.is_ke)
     return chain_from_parts(g, witness.value, c, a.value, matching.size, cert.is_ke)
 
 

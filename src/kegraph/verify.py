@@ -24,7 +24,6 @@ from .critical import (
     _scan,
     bipartite_double_cover,
     critical_difference,
-    hall_certificate,
     max_critical_independent_set,
 )
 from .errors import KegraphError, TruncatedOmegaError
@@ -209,21 +208,29 @@ def _recognition_inconsistent(g: Graph) -> bool:
 
 
 def _ke_chain_broken(g: Graph) -> bool:
-    """A KE graph whose equality chain fails, or differs from the chain
-    built from branch-and-bound alpha and core, the reference for the chain's
-    critical-witness and cover 2-SAT route."""
+    """A KE graph whose equality chain fails, or on which the chain or the
+    report's alpha, alpha witness or core differ from branch-and-bound's.
+    The chain and the report take the critical witness and the cover 2-SAT;
+    branch-and-bound is the reference for that route."""
     if not koenig.recognize_ke(g).is_ke:
         return False
     try:
-        chain = equality_chain_report(g)
+        chain = equality_chain_report(g, None)
+        r = analyze_graph(g, force=True)
         a = alpha(g, None)
+        c = core(g, None, alpha_result=a)
         reference = chain_from_parts(
-            g, critical_difference(g), core(g, None, alpha_result=a), a.value,
-            maximum_matching(g).size, True,
+            g, critical_difference(g), c, a.value, maximum_matching(g).size, True
         )
     except KegraphError:
         return True
-    return not chain.chain_holds or chain != reference
+    return (
+        not chain.chain_holds
+        or chain != reference
+        or not r.is_ke
+        or (r.alpha, r.certificates["ke_witness"]["independent_set"], r.core)
+        != (a.value, g.labels_of(a.witness), g.labels_of(c))
+    )
 
 
 def _ke_structure_broken(g: Graph, cap: int) -> bool:
@@ -241,22 +248,6 @@ def _ke_perfect_matching_link_broken(g: Graph) -> bool:
     if not koenig.recognize_ke(g).is_ke:
         return False
     return (critical_difference(g) == 0) != has_perfect_matching(g)
-
-
-def _ke_path_differs(g: Graph) -> bool:
-    """A KE graph whose report gives an alpha, witness or core (taken from
-    the critical witness and the cover 2-SAT) other than branch-and-bound's."""
-    try:
-        r = analyze_graph(g, force=True)
-    except KegraphError:
-        return True
-    if not r.is_ke:
-        return False
-    a = alpha(g, None)
-    c = core(g, None, alpha_result=a)
-    return (r.alpha, r.certificates["ke_witness"]["independent_set"], r.core) != (
-        a.value, g.labels_of(a.witness), g.labels_of(c)
-    )
 
 
 def _bipartite_not_ke(g: Graph) -> bool:
@@ -317,15 +308,13 @@ def _critical_family_broken(g: Graph) -> bool:
             s = vset(comb)
             if not is_independent(g, s):
                 continue
-            if s.bit_count() - neighborhood(g, s).bit_count() != d:
-                continue
-            if not is_local_max_independent_set(g, s):
-                return True
-            if not extends_to_maximum(g, s):
-                return True
-            cert = hall_certificate(g, s)
             nb = neighborhood(g, s)
-            if cert.saturated & nb != nb:
+            if s.bit_count() - nb.bit_count() != d:
+                continue
+            if not is_local_max_independent_set(g, s) or not extends_to_maximum(g, s):
+                return True
+            cert = saturating_matching(g, nb, s)
+            if isinstance(cert, HallViolation) or cert.saturated & nb != nb:
                 return True
     return False
 
@@ -558,12 +547,11 @@ _TABLE = (
         Probe("predicates disagree", _recognition_inconsistent),
     )),
     Check("ke_guarantees", "full", _ke_pool, (
-        Probe("equality chain", _ke_chain_broken),
+        Probe("equality chain, or KE path differs from branch-and-bound", _ke_chain_broken),
         Probe("d=0 vs perfect matching", _ke_perfect_matching_link_broken),
         Probe("certificate", _ke_certificate_invalid),
         Probe("bipartite verdict", _bipartite_not_ke),
         Probe("structure checks", _ke_structure_broken, takes_cap=True),
-        Probe("KE path differs from branch-and-bound", _ke_path_differs),
     )),
     Check("critical_family", "full", _random_graphs(150, 10), (
         Probe("critical set fails local-max/extension/Hall", _critical_family_broken),

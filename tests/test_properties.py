@@ -5,7 +5,6 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 import kegraph as kg
-from kegraph.oracle import brute_alpha
 from kegraph.verify import (
     _d_oracle_broken,
     _inequality_chain_broken,
@@ -13,6 +12,7 @@ from kegraph.verify import (
     _matching_invalid,
     _mu_oracle_broken,
     _omega_properties_broken,
+    _recognition_inconsistent,
     _roundtrip_broken,
 )
 
@@ -68,12 +68,9 @@ def test_double_cover_identity(g):
 @given(graphs(max_n=9))
 @settings(max_examples=100, deadline=None)
 def test_recognition_equivalences(g):
-    by_def = kg.alpha(g).value + kg.maximum_matching(g).size == g.n
-    cert = kg.recognize_ke(g)
-    record = kg.characterization_check(g)
-    assert cert.is_ke == by_def == record.exists_critical_mis == record.all_mis_critical
-    if cert.is_ke:
-        assert kg.max_critical_independent_set(g).set.bit_count() == brute_alpha(g)
+    # alpha + mu = n <=> recognized KE <=> alpha_c = alpha <=> some / every
+    # maximum independent set is critical
+    assert not _recognition_inconsistent(g)
 
 
 @given(graphs(max_n=9))

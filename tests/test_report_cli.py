@@ -30,7 +30,7 @@ from kegraph import (
 from kegraph import independence
 from kegraph.cli import main
 from kegraph.report import chain_from_parts
-from kegraph.verify import _ke_path_differs
+from kegraph.verify import _ke_chain_broken
 
 RUN = [sys.executable, "-m", "kegraph"]
 
@@ -61,13 +61,27 @@ def test_analyze_report_gf10():
     }
 
 
-def test_report_json_roundtrip_bit_exact():
-    r = analyze_graph(fixture("G2"), "G2")
+REPORT_KEYS = {
+    "name", "n", "m", "alpha", "mu", "def", "d", "alpha_c", "core", "n_core",
+    "is_ke", "chain", "certificates", "gated", "oracle_checked", "timing_ms",
+}
+
+
+@pytest.mark.parametrize("graph, options, alpha_c", [
+    (fixture("H1"), {}, 2),
+    (fixture("G2"), {}, 3),
+    (generate("empty", 70), {}, 70),
+    (fixture("H1"), {"poly_only": True}, 2),
+    (generate("cycle", 70), {"force": True}, 35),
+], ids=["ke", "not-ke", "gated", "poly-only", "forced-n70"])
+def test_report_json_roundtrip_bit_exact(graph, options, alpha_c):
+    r = analyze_graph(graph, "g", **options)
     text = r.to_json()
     back = AnalysisReport.from_json(text)
     assert back == r
     assert back.to_json() == text
-    assert json.loads(text)["alpha_c"] == 3
+    assert set(r.to_dict()) == REPORT_KEYS
+    assert json.loads(text)["alpha_c"] == alpha_c
 
 
 def test_csv_row_layout():
@@ -358,7 +372,7 @@ def test_ke_path_equals_branch_and_bound_small():
             g = random_graph(rng, n, 0.5 * rng.random())
             if not recognize_ke(g).is_ke:
                 continue
-        assert not _ke_path_differs(g), emit_graph6(g)
+        assert not _ke_chain_broken(g), emit_graph6(g)
         seen += 1
         non_bipartite += two_coloring(g) is None
         with_core += core(g, None) != 0
@@ -380,7 +394,7 @@ def test_ke_path_equals_branch_and_bound_on_larger_bipartite_graphs(n, deg):
     # The bipartite specs of the analyze-exact benchmark workload.
     rng = random.Random(f"{n}:{deg}")
     for _ in range(2):
-        assert not _ke_path_differs(_shuffled_bipartite(rng, n, deg))
+        assert not _ke_chain_broken(_shuffled_bipartite(rng, n, deg))
 
 
 def test_equality_chain_report_runs_no_branch_and_bound_on_ke_graphs(monkeypatch):

@@ -105,6 +105,22 @@ def test_chain_probe_catches_a_wrong_ke_core(monkeypatch):
     assert _ke_chain_broken(g)
 
 
+def test_chain_probe_catches_a_wrong_report_field(monkeypatch):
+    # The same probe compares the report's alpha, KE witness and core too.
+    from kegraph import verify
+
+    real = verify.analyze_graph
+
+    def wrong_core(g, **options):
+        r = real(g, **options)
+        r.core = r.core[1:]
+        return r
+
+    g = fixture("G1")
+    monkeypatch.setattr(verify, "analyze_graph", wrong_core)
+    assert verify._ke_chain_broken(g)
+
+
 def test_critical_shortcut_row_fires_on_most_dense_members():
     # The row only probes graphs on which the alpha_c = 0 test fires, so it
     # must fire often enough for the row to mean something.
@@ -121,8 +137,9 @@ def test_critical_shortcut_row_fires_on_most_dense_members():
 
 
 def test_ke_guarantees_pool_has_cores_and_non_bipartite_members():
-    # The row's "KE path differs from branch-and-bound" probe compares only
-    # KE members, so the pool must hold KE graphs with something to compare.
+    # The row's equality-chain probe compares the KE path with
+    # branch-and-bound on KE members only, so the pool must hold KE graphs
+    # with something to compare.
     from kegraph import core, recognize_ke, two_coloring
 
     check = next(c for c in CHECKS["full"] if c.name == "ke_guarantees")
