@@ -15,7 +15,7 @@ When the cover matching is perfect and one reachability test shows that
 every probe would conflict (the positive-surplus case, alpha_c = 0), the
 empty set is returned without the scan. Every returned witness is
 re-checked at runtime: independent, attains d(G), and carries a matching of
-N(S) into S saturating N(S).
+N(S) into S saturating N(S), read off the same cover matching.
 
 On a Konig-Egervary graph the same propagator, run on G itself with its
 maximum matching, solves the 2-SAT of G's minimum vertex covers, whose
@@ -30,9 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstructionFailedError
-from .graph import Graph, is_independent, neighborhood, vset
+from .graph import Graph, bits, is_independent, neighborhood, vset
 from .independence import _swappable
-from .matching import HallViolation, Matching, _grow, saturating_matching
+from .matching import Matching, _grow
+from .matching import saturating_matching  # noqa: F401 (unused; perfbench/tracer.py wraps it)
 
 __all__ = [
     "CriticalWitness",
@@ -96,12 +97,13 @@ def max_critical_independent_set(
     *matching*, a matching of *g* (usually its maximum matching), is
     doubled into B as (u', v'') and (v', u'') and augmented to a maximum
     one. On a KE graph nothing is left to augment: mu(B) = n - d, and
-    d = n - 2 mu(g) on KE graphs (item (i) of the paper), so mu(B) = 2 mu(g).
+    d = n - 2 mu(g) on KE graphs (item (i) of the paper), so mu(B) = 2 mu(g),
+    and the Hall matching read off B is *matching* itself when it is maximum.
     """
     mate_l, mate_r = _cover_matching(g, matching)
     if _alpha_c_zero(g.adj, mate_l, mate_r):
-        return _checked_witness(g, 0, 0)
-    return _checked_witness(g, _scan(g.adj, mate_l, mate_r), g.n - len(mate_l))
+        return _checked_witness(g, 0, 0, mate_l)
+    return _checked_witness(g, _scan(g.adj, mate_l, mate_r), g.n - len(mate_l), mate_l)
 
 
 def _cover_matching(
@@ -109,14 +111,14 @@ def _cover_matching(
 ) -> tuple[dict[int, int], dict[int, int]]:
     """A maximum matching of the double cover, as (left, right) mate maps over
     the source vertices: *matching* doubled, then completed by one _grow."""
-    mate_l: dict[int, int] = {}
-    mate_r: dict[int, int] = {}
-    if matching is not None:
-        for u, v in matching.edges:
-            mate_l[u] = mate_r[u] = v
-            mate_l[v] = mate_r[v] = u
+    mate_l = {} if matching is None else _mates(matching)
+    mate_r = dict(mate_l)
     _grow(g.adj, g.full_mask, g.full_mask, mate_l, mate_r)
     return mate_l, mate_r
+
+
+def _mates(matching: Matching) -> dict[int, int]:
+    return dict(matching.edges) | {v: u for u, v in matching.edges}
 
 
 def _alpha_c_zero(
@@ -196,10 +198,7 @@ def ke_core(g: Graph, matching: Matching, witness: int) -> int:
     larger than mu, and the result need not be the core.
     """
     adj = g.adj
-    mate: dict[int, int] = {}
-    for u, v in matching.edges:
-        mate[u] = v
-        mate[v] = u
+    mate = _mates(matching)
     exposed = g.full_mask & ~vset(mate)
     state = _propagate(adj, mate, mate, (0, 0, 0, 0), exposed, exposed)
     if state is None:
@@ -273,7 +272,19 @@ def _propagate(
     return in_l, in_r, out_l, out_r
 
 
-def _checked_witness(g: Graph, chosen: int, d: int) -> CriticalWitness:
+def _checked_witness(
+    g: Graph, chosen: int, d: int, mate_l: dict[int, int]
+) -> CriticalWitness:
+    """Check S = *chosen*, and pair each y in N(S) with mate_l[y], its mate in
+    a maximum matching of the double cover B, as S's Hall matching.
+
+    Why the mate lies in S: a minimum vertex cover C of B that extends the
+    greedy's final 2-SAT state avoids S' and S'', so it holds N(S)' and
+    N(S)''. |C| = mu(B) = n - d = |T| + 2|N(S)| for T = V - S - N(S), so C
+    holds |T| copies of T. T has no neighbour in S, so these are matched to
+    the |T| copies of T outside C. Every vertex of C is matched (Konig), so
+    y' is matched to some x'' with x in S.
+    """
     if not is_independent(g, chosen):
         raise ConstructionFailedError("constructed set is not independent")
     nb = neighborhood(g, chosen)
@@ -282,9 +293,7 @@ def _checked_witness(g: Graph, chosen: int, d: int) -> CriticalWitness:
         raise ConstructionFailedError(
             "constructed set does not attain the critical difference"
         )
-    cert = saturating_matching(g, nb, chosen)
-    if isinstance(cert, HallViolation):
-        raise ConstructionFailedError(
-            "no matching of N(S) into S for the constructed critical set"
-        )
-    return CriticalWitness(set=chosen, value=value, hall_matching=cert)
+    hall = {y: mate_l.get(y, -1) for y in bits(nb)}
+    if any(x < 0 or not chosen >> x & 1 for x in hall.values()):
+        raise ConstructionFailedError("the cover matching does not match N(S) into S")
+    return CriticalWitness(set=chosen, value=value, hall_matching=Matching.from_mates(hall))

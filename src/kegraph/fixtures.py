@@ -66,16 +66,6 @@ _FIXTURES: dict[str, tuple[tuple[str, ...], list[tuple[str, str]]]] = {
 
 FIXTURE_NAMES = tuple(_FIXTURES)
 
-FAMILIES = (
-    "path",
-    "cycle",
-    "complete",
-    "complete_minus_edge",
-    "star",
-    "complete_bipartite",
-    "empty",
-)
-
 
 def fixture(name: str) -> Graph:
     """Return a named fixture graph with its display labels."""
@@ -150,6 +140,8 @@ _BUILDERS = {
     "complete_bipartite": _complete_bipartite,
     "empty": _empty,
 }
+
+FAMILIES = tuple(_BUILDERS)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

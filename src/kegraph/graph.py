@@ -77,12 +77,13 @@ class Graph:
                 raise UnknownVertexError(f"edge ({u}, {v}) outside 0..{n - 1}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        self.n = n
+        self._set(adj, labels)
+
+    def _set(self, adj: list[int] | tuple[int, ...], labels: tuple[str, ...] | None) -> None:
+        self.n = len(adj)
         self.adj = tuple(adj)
         self.labels = labels
-        self._label_index = (
-            {name: i for i, name in enumerate(labels)} if labels else None
-        )
+        self._label_index = {name: i for i, name in enumerate(labels)} if labels else None
 
     @classmethod
     def from_adjacency(
@@ -112,10 +113,7 @@ class Graph:
                     if not (adj[u] >> v) & 1:
                         raise ValueError(f"asymmetric adjacency between {u} and {v}")
         g = cls.__new__(cls)
-        g.n = n
-        g.adj = tuple(adj)
-        g.labels = labels
-        g._label_index = {name: i for i, name in enumerate(labels)} if labels else None
+        g._set(adj, labels)
         return g
 
     @property
@@ -203,10 +201,7 @@ def induced_subgraph(g: Graph, s: int) -> tuple[Graph, dict[int, int]]:
         adj.append(packed)
     labels = tuple(g.label_of(v) for v in old) if g.labels else None
     sub = Graph.__new__(Graph)
-    sub.n = len(old)
-    sub.adj = tuple(adj)
-    sub.labels = labels
-    sub._label_index = {name: i for i, name in enumerate(labels)} if labels else None
+    sub._set(adj, labels)
     return sub, remap
 
 

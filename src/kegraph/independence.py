@@ -198,13 +198,9 @@ def enumerate_maximum_independent_sets(
     return OmegaStream(g, cap, value, witness)
 
 
-def collect_omega(
-    g: Graph,
-    cap: int = DEFAULT_OMEGA_CAP,
-    limit: int | None = DEFAULT_EXACT_LIMIT,
-) -> list[int]:
-    """Exhaustive list of maximum independent sets; raises if capped."""
-    stream = enumerate_maximum_independent_sets(g, cap, limit)
+def collect_omega(g: Graph, cap: int = DEFAULT_OMEGA_CAP) -> list[int]:
+    """Exhaustive list of maximum independent sets; raises if capped or gated."""
+    stream = enumerate_maximum_independent_sets(g, cap)
     sets = list(stream)
     if stream.truncated:
         raise TruncatedOmegaError(

@@ -20,7 +20,7 @@ from .graph import (
     delete_closed_neighborhood,
     neighborhood,
 )
-from .independence import DEFAULT_EXACT_LIMIT, DEFAULT_OMEGA_CAP, collect_omega
+from .independence import DEFAULT_OMEGA_CAP, collect_omega
 from .matching import Matching, maximum_matching
 
 __all__ = [
@@ -103,16 +103,12 @@ class CharacterizationRecord:
         return self.is_ke == self.exists_critical_mis == self.all_mis_critical
 
 
-def characterization_check(
-    g: Graph,
-    cap: int = DEFAULT_OMEGA_CAP,
-    limit: int | None = DEFAULT_EXACT_LIMIT,
-) -> CharacterizationRecord:
+def characterization_check(g: Graph, cap: int = DEFAULT_OMEGA_CAP) -> CharacterizationRecord:
     """Quantify criticality over the full set of maximum independent sets.
 
     Requires untruncated enumeration (raises TruncatedOmegaError otherwise).
     """
-    omega = collect_omega(g, cap, limit)
+    omega = collect_omega(g, cap)
     _matching, witness, cert = _recognized(g)
     d = witness.value
     exists = False
@@ -156,11 +152,7 @@ class StructureChecks:
         )
 
 
-def structure_checks_ke(
-    g: Graph,
-    cap: int = DEFAULT_OMEGA_CAP,
-    limit: int | None = DEFAULT_EXACT_LIMIT,
-) -> StructureChecks:
+def structure_checks_ke(g: Graph, cap: int = DEFAULT_OMEGA_CAP) -> StructureChecks:
     """Verify, on a KE graph: (i) N(core) is the intersection of the
     complements of all maximum independent sets, (ii) alpha + |that set| =
     mu + |core|, (iii) G - N[core] has a perfect matching and is itself KE."""
@@ -168,7 +160,7 @@ def structure_checks_ke(
     if not cert.is_ke:
         w = cert.non_ke_witness
         raise NotKEError(f"alpha_c={w.alpha_c} < n - mu = {w.n - w.mu}; not KE")
-    omega = collect_omega(g, cap, limit)
+    omega = collect_omega(g, cap)
     union = 0
     c = g.full_mask  # core: the intersection of all maximum independent sets
     for s in omega:

@@ -59,8 +59,9 @@ class Matching:
             raise ValueError("saturated-vertex count disagrees with edge count")
 
     @classmethod
-    def from_mates(cls, mate: list[int]) -> Matching:
-        return cls(tuple((v, mate[v]) for v in range(len(mate)) if mate[v] > v))
+    def from_mates(cls, mate: dict[int, int]) -> Matching:
+        """The matching of a mate map; either direction of a pair will do."""
+        return cls(tuple(sorted({(min(u, v), max(u, v)) for u, v in mate.items()})))
 
 
 @dataclass(frozen=True)
@@ -81,18 +82,17 @@ def maximum_matching(g: Graph) -> Matching:
     n = g.n
     adj = g.adj
     mate = [-1] * n
-    # Greedy seed keeps the number of augmenting searches small.
+    # Greedy seed keeps the number of augmenting searches small: each free
+    # vertex takes its lowest free neighbour.
+    free = (1 << n) - 1
     for v in range(n):
-        if mate[v] == -1:
-            m = adj[v]
-            while m:
-                low = m & -m
-                u = low.bit_length() - 1
-                if mate[u] == -1:
-                    mate[v] = u
-                    mate[u] = v
-                    break
-                m ^= low
+        if free >> v & 1:
+            m = adj[v] & free
+            if m:
+                u = (m & -m).bit_length() - 1
+                mate[v] = u
+                mate[u] = v
+                free ^= 1 << v | 1 << u
 
     parent = [-1] * n
     base = list(range(n))
@@ -166,7 +166,7 @@ def maximum_matching(g: Graph) -> Matching:
     for v in range(n):
         if mate[v] == -1:
             augment_from(v)
-    return Matching.from_mates(mate)
+    return Matching.from_mates({v: u for v, u in enumerate(mate) if u > v})
 
 
 def _kuhn(
@@ -276,8 +276,7 @@ def maximum_bipartite_matching(g: Graph, sides: int) -> Matching:
     for v in bits(left):
         if g.adj[v] & left:
             raise NotBipartiteError(f"edge inside the left side at vertex {v}")
-    mate_l, _ = _kuhn(g.adj, left, right)
-    return Matching(tuple(sorted(tuple(sorted(e)) for e in mate_l.items())))
+    return Matching.from_mates(_kuhn(g.adj, left, right)[0])
 
 
 def deficiency(g: Graph) -> int:
@@ -303,7 +302,7 @@ def saturating_matching(
     mate_l, mate_r = _kuhn(g.adj, from_set, into_set)
     exposed = [u for u in bits(from_set) if u not in mate_l]
     if not exposed:
-        return Matching(tuple(sorted(tuple(sorted(e)) for e in mate_l.items())))
+        return Matching.from_mates(mate_l)
 
     reach_l = 0
     for u in exposed:

@@ -155,12 +155,10 @@ def analyze_graph(
         report.n_core = g.labels_of(neighborhood(g, c))
         chain = chain_from_parts(g, d, c, a.value, mu, cert.is_ke)
         report.chain = {
-            "d": chain.d,
-            "core_surplus": chain.core_surplus,
-            "alpha_minus_mu": chain.alpha_minus_mu,
-            "def": chain.deficiency,
-            "chain_holds": chain.chain_holds,
+            _JSON_KEYS.get(f.name, f.name): getattr(chain, f.name)
+            for f in fields(chain) if f.name != "is_ke"
         }
+        report.chain["chain_holds"] = chain.chain_holds
     else:
         report.gated = True
 

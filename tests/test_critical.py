@@ -147,7 +147,7 @@ def _from_scratch_witness(g):
             chosen |= 1 << v
             active = rest
             d = d_rest
-    return critical._checked_witness(g, chosen, d_whole)
+    return critical._checked_witness(g, chosen, d_whole, critical._cover_matching(g, None)[0])
 
 
 def test_greedy_equals_from_scratch_greedy_small():
@@ -189,9 +189,41 @@ def test_witness_independent_of_seed_matching():
         sides = two_coloring(g)
         if sides is not None:
             seeds.append(maximum_bipartite_matching(g, sides))
+        nb = neighborhood(g, w.set)
         for m in seeds:
-            assert max_critical_independent_set(g, m) == w
+            seeded = max_critical_independent_set(g, m)
+            assert (seeded.set, seeded.value) == (w.set, w.value)
+            # The Hall matching follows the cover matching, so only its
+            # validity is seed-independent.
+            seeded.hall_matching.validate(g)
+            assert seeded.hall_matching.saturated & nb == nb
     assert partial >= 20
+
+
+def test_hall_matching_is_read_off_the_cover_matching():
+    # Every Hall pair joins N(S) to S; on KE graphs the doubled blossom
+    # matching is the whole cover matching, so the Hall matching, the KE
+    # matching and the blossom matching coincide.
+    rng = random.Random(67)
+    ke = 0
+    for i in range(600):
+        if i % 2:
+            g = random_bipartite_graph(rng, rng.randint(0, 16), rng.random())[0]
+        else:
+            g = random_graph(rng, rng.randint(0, 14), rng.random())
+        m = maximum_matching(g)
+        w = max_critical_independent_set(g, m)
+        nb = neighborhood(g, w.set)
+        w.hall_matching.validate(g)
+        for u, v in w.hall_matching.edges:
+            y, x = (u, v) if nb >> u & 1 else (v, u)
+            assert nb >> y & 1 and w.set >> x & 1
+        assert w.hall_matching.saturated & nb == nb
+        cert = recognize_ke(g)
+        if cert.is_ke:
+            ke += 1
+            assert w.hall_matching == m == cert.ke_witness.matching
+    assert ke >= 250
 
 
 def test_doubled_matching_is_maximum_on_ke_graphs():
