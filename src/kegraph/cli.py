@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("batch", help="CSV stream of reports for graph6 lines")
     pb.add_argument("path", help="file of graph6 records, one per line")
     pb.add_argument("--jobs", type=int, default=1,
-                    help="parallel workers; output order is preserved")
+                    help="parallel workers, capped by lines and CPUs; order is kept")
     pb.add_argument("--poly-only", action="store_true",
                     help="polynomial fields only (skip alpha/core/chain)")
     pb.add_argument("--force", action="store_true")
@@ -152,8 +152,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     one = functools.partial(
         _batch_one, force=args.force, poly_only=args.poly_only, with_oracle=args.oracle
     )
-    if args.jobs > 1 and len(items) > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(args.jobs, len(items), cpus or 1)
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             parsed = _emit_batch(pool.imap(one, items, chunksize=64))
     else:
         parsed = _emit_batch(map(one, items))

@@ -55,7 +55,7 @@ def bipartite_double_cover(g: Graph) -> Graph:
     labels = None
     if g.labels:
         labels = tuple(f"{s}'" for s in g.labels) + tuple(f"{s}''" for s in g.labels)
-    return Graph.from_adjacency(adj, labels)
+    return Graph._trusted(adj, labels)
 
 
 def critical_difference(g: Graph) -> int:

@@ -152,7 +152,7 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
             if rng.random() < p:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
-    return Graph.from_adjacency(adj)
+    return Graph._trusted(adj)
 
 
 def random_bipartite_graph(
@@ -166,4 +166,4 @@ def random_bipartite_graph(
             if rng.random() < p:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
-    return Graph.from_adjacency(adj), (1 << n1) - 1
+    return Graph._trusted(adj), (1 << n1) - 1

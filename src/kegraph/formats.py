@@ -43,11 +43,11 @@ _SET_BYTES = re.compile(rb"[^?]")
 _BIT_STRINGS = tuple(format((b - 63) % 64, "06b") for b in range(256))
 
 
-def parse_graph6(data: bytes | str, max_n: int = DEFAULT_MAX_N) -> Graph:
+def parse_graph6(data: bytes | str) -> Graph:
     """Decode one graph6 record into a Graph (labels unset).
 
     A single trailing newline is tolerated; any other surplus byte raises
-    TrailingDataError.
+    TrailingDataError. The decoded masks are correct by construction.
     """
     if isinstance(data, str) and not data.isascii():
         raise InvalidCharError("non-ASCII character in graph6 record")
@@ -58,7 +58,7 @@ def parse_graph6(data: bytes | str, max_n: int = DEFAULT_MAX_N) -> Graph:
     if not raw:
         raise TruncatedError("empty graph6 record")
 
-    n, pos = _read_n(raw, max_n)
+    n, pos = _read_n(raw)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     body = raw[pos:pos + nbytes]
@@ -79,7 +79,7 @@ def parse_graph6(data: bytes | str, max_n: int = DEFAULT_MAX_N) -> Graph:
         adj = _dense_masks(body, n)
     else:
         adj = _sparse_masks(body, n, nbits)
-    return Graph.from_adjacency(adj)
+    return Graph._trusted(adj)
 
 
 def _dense_masks(body: bytes, n: int) -> list[int]:
@@ -113,7 +113,7 @@ def _sparse_masks(body: bytes, n: int, nbits: int) -> list[int]:
     return adj
 
 
-def _read_n(raw: bytes, max_n: int) -> tuple[int, int]:
+def _read_n(raw: bytes) -> tuple[int, int]:
     if raw[0] != 126:
         n, pos = raw[0] - 63, 1
         if not 0 <= n <= 62:
@@ -122,8 +122,8 @@ def _read_n(raw: bytes, max_n: int) -> tuple[int, int]:
         n, pos = _read_groups(raw, 2, 6), 8
     else:
         n, pos = _read_groups(raw, 1, 3), 4
-    if n > max_n:
-        raise NOverflowError(f"graph6 vertex count {n} exceeds maximum {max_n}")
+    if n > DEFAULT_MAX_N:
+        raise NOverflowError(f"graph6 vertex count {n} exceeds maximum {DEFAULT_MAX_N}")
     return n, pos
 
 

@@ -89,29 +89,27 @@ class Graph:
     def from_adjacency(
         cls, adj: list[int] | tuple[int, ...], labels: tuple[str, ...] | None = None
     ) -> Graph:
-        """Wrap precomputed neighbor masks, validating symmetry and looplessness.
-
-        Above n²/8 total degree, symmetry is decided by one transpose of the
-        rows as bit strings; the per-edge loop runs on sparser input, and on
-        input the transpose finds asymmetric, to name the first bad pair.
-        """
+        """Wrap neighbor masks from outside the library, checking range,
+        looplessness and, edge by edge, symmetry (naming the first bad pair).
+        Masks built correct by construction go through `_trusted` instead."""
         n = len(adj)
         for v, m in enumerate(adj):
             if m >> n:
                 raise UnknownVertexError(f"adjacency of {v} exceeds 0..{n - 1}")
             if (m >> v) & 1:
                 raise SelfLoopError(f"self-loop at vertex {v}")
-        symmetric = False
-        if 8 * sum(m.bit_count() for m in adj) > n * n:
-            # rows[i][j] is bit n-1-j of adj[n-1-i]: the 0/1 matrix with both
-            # indices reversed, which is symmetric iff the matrix is.
-            rows = [format(m, f"0{n}b") for m in reversed(adj)]
-            symmetric = ["".join(col) for col in zip(*rows)] == rows
-        if not symmetric:
-            for v in range(n):
-                for u in bits(adj[v]):
-                    if not (adj[u] >> v) & 1:
-                        raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        for v in range(n):
+            for u in bits(adj[v]):
+                if not (adj[u] >> v) & 1:
+                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        return cls._trusted(adj, labels)
+
+    @classmethod
+    def _trusted(
+        cls, adj: list[int] | tuple[int, ...], labels: tuple[str, ...] | None = None
+    ) -> Graph:
+        """Wrap masks that are symmetric, loopless and within 0..n-1 by
+        construction, unchecked."""
         g = cls.__new__(cls)
         g._set(adj, labels)
         return g
@@ -200,9 +198,7 @@ def induced_subgraph(g: Graph, s: int) -> tuple[Graph, dict[int, int]]:
             m ^= low
         adj.append(packed)
     labels = tuple(g.label_of(v) for v in old) if g.labels else None
-    sub = Graph.__new__(Graph)
-    sub._set(adj, labels)
-    return sub, remap
+    return Graph._trusted(adj, labels), remap
 
 
 def delete_closed_neighborhood(g: Graph, s: int) -> Graph:

@@ -164,13 +164,18 @@ def test_graph6_bytes_and_roundtrip_at_boundary_sizes(n):
         assert parse_graph6(text) == g
 
 
+def _long_count(n: int) -> bytes:
+    """The 8-byte graph6 vertex count of *n*, with no body."""
+    return bytes([126, 126] + [63 + ((n >> s) & 63) for s in range(30, -1, -6)])
+
+
 def test_n_overflow_gate():
+    # The gate admits 10**6 but not more (2e6 needs the 8-byte form).
     with pytest.raises(NOverflowError):
-        parse_graph6(K3_G6, max_n=2)
-    # default gate admits 10**6 but not more (2e6 needs the 8-byte form)
-    big = bytes([126, 126] + [63 + ((2000000 >> s) & 63) for s in range(30, -1, -6)])
-    with pytest.raises(NOverflowError):
-        parse_graph6(big)
+        parse_graph6(_long_count(2 * 10**6))
+    # Exactly 10**6 passes the count gate and stops at the missing body.
+    with pytest.raises(TruncatedError, match="needs .* for n=1000000$"):
+        parse_graph6(_long_count(10**6))
 
 
 def test_non_ascii_text_is_an_invalid_char():

@@ -15,10 +15,13 @@ from kegraph import (
     is_independent,
     lex_less,
     neighborhood,
+    parse_graph6,
+    random_bipartite_graph,
     random_graph,
     two_coloring,
     vset,
 )
+from kegraph import formats
 
 
 def test_vset_bits_roundtrip():
@@ -51,10 +54,9 @@ def test_from_adjacency_rejects_asymmetry():
 
 @pytest.mark.parametrize("n, p", [(50, 0.5), (50, 0.04)])
 def test_from_adjacency_names_the_asymmetric_pair(n, p):
-    # Dense input is checked by a transpose first, sparse input edge by edge;
-    # both name the pair the edge-by-edge loop meets first.
+    # Dense and sparse input are both checked edge by edge, in vertex order,
+    # so both name the first pair that loop meets.
     g = random_graph(random.Random(11), n, p)
-    assert (8 * 2 * g.m > n * n) == (p == 0.5)
     u, v = next(g.edges())
     adj = list(g.adj)
     adj[u] ^= 1 << v
@@ -65,6 +67,62 @@ def test_from_adjacency_names_the_asymmetric_pair(n, p):
     with pytest.raises(ValueError, match=f"^asymmetric adjacency between {v} and {u}$"):
         Graph.from_adjacency(adj)
     assert Graph.from_adjacency(g.adj) == g
+
+
+def _graph6_body(rng: random.Random) -> tuple[bytes, int, int]:
+    """A random graph6 body for n in 0..130, sparse (most bytes "?") or dense,
+    with random padding bits; returns (body, n, number of edge bits)."""
+    n = rng.randint(0, 130)
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    share = rng.choice((0.1, 1.0))  # of the bytes that carry bits
+    data = [rng.getrandbits(6) if rng.random() < share else 0 for _ in range(nbytes)]
+    if nbytes:
+        data[-1] |= rng.getrandbits(6 * nbytes - nbits)
+    return bytes(63 + x for x in data), n, nbits
+
+
+def _parsed(rng: random.Random) -> Graph:
+    body, n, _ = _graph6_body(rng)
+    counts = [bytes([126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)])]
+    if n <= 62:
+        counts.append(bytes([63 + n]))
+    return parse_graph6(rng.choice(counts) + body)
+
+
+def _maybe_labeled(rng: random.Random) -> Graph:
+    g = random_graph(rng, rng.randint(0, 30), rng.random())
+    labels = tuple(f"v{v}" for v in range(g.n)) if rng.random() < 0.5 else None
+    return Graph.from_adjacency(g.adj, labels)
+
+
+def _induced(rng: random.Random) -> Graph:
+    g = _maybe_labeled(rng)
+    return induced_subgraph(g, rng.getrandbits(g.n))[0]
+
+
+UNCHECKED_BUILDERS = {
+    "parse_graph6": _parsed,
+    "dense_masks": lambda rng: Graph._trusted(formats._dense_masks(*_graph6_body(rng)[:2])),
+    "sparse_masks": lambda rng: Graph._trusted(formats._sparse_masks(*_graph6_body(rng))),
+    "random_graph": lambda rng: random_graph(rng, rng.randint(0, 40), rng.random()),
+    "random_bipartite_graph": lambda rng: random_bipartite_graph(
+        rng, rng.randint(0, 40), rng.random()
+    )[0],
+    "bipartite_double_cover": lambda rng: bipartite_double_cover(_maybe_labeled(rng)),
+    "induced_subgraph": _induced,
+}
+
+
+@pytest.mark.parametrize("build", UNCHECKED_BUILDERS.values(), ids=UNCHECKED_BUILDERS)
+def test_unchecked_builders_pass_from_adjacency(build):
+    # These builders skip from_adjacency's checks because their masks are
+    # symmetric, loopless and in range by construction; this pins that.
+    rng = random.Random(28)
+    for _ in range(200):
+        g = build(rng)
+        checked = Graph.from_adjacency(g.adj, g.labels)
+        assert checked == g and checked.labels == g.labels
 
 
 def test_double_cover_of_a_dense_graph():

@@ -294,6 +294,49 @@ def test_cli_batch_parallel_order_preserved(tmp_path):
     assert seq.stdout == par.stdout
 
 
+@pytest.mark.parametrize("jobs, lines, cpus, workers", [
+    (2000, 3, 8, 3),  # no more workers than lines
+    (2000, 6, 2, 2),  # nor than usable CPUs
+    (2, 6, 2, 2),  # --jobs 2 on two CPUs keeps its two workers
+    (2000, 6, 1, None),  # one CPU: serial, no pool
+    (2000, 1, 8, None),  # one line: serial, no pool
+])
+def test_cli_batch_jobs_capped_by_lines_and_cpus(
+    tmp_path, monkeypatch, capsys, jobs, lines, cpus, workers
+):
+    from kegraph import cli
+
+    sizes = []
+
+    class FakePool:
+        """Records its size and maps in this process: starts no worker."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    # *lines* non-empty lines, the second one malformed, with blank lines between.
+    records = [emit_graph6(fixture(n)) for n in ("H1", "G2", "GF10", "H3", "G1", "H2")]
+    records[1:1] = ["B?x"]
+    path = tmp_path / "lines.g6"
+    path.write_text("\n\n".join(records[:lines]) + "\n")
+    code = cli.main(["batch", str(path), "--jobs", "1"])
+    serial = capsys.readouterr()
+    monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert cli.main(["batch", str(path), "--jobs", str(jobs)]) == code == 0
+    assert capsys.readouterr() == serial
+    assert sizes == ([workers] if workers else [])
+
+
 def test_cli_gen():
     out = run_cli("gen", "complete_minus_edge", "6")
     assert out.returncode == 0
